@@ -198,6 +198,13 @@ type Cluster struct {
 	reconfig   bool
 }
 
+// latencyRawWindows is how many windows of raw latency samples the cluster
+// keeps before summarizing them. Every Record site stamps time.Now(), so no
+// sample arrives more than a scheduling delay late, and anything longer
+// (metrics.DefaultRetention is two minutes) only makes the heap grow with
+// throughput: 8 bytes × txn/s × horizon.
+const latencyRawWindows = 4
+
 // New starts a cluster with the configured initial nodes; buckets are dealt
 // round-robin across the initial partitions.
 func New(cfg Config) (*Cluster, error) {
@@ -230,6 +237,7 @@ func New(cfg Config) (*Cluster, error) {
 		moveStalls: metrics.NewDurationHist(),
 		migrating:  make(map[int]bool),
 	}
+	c.latencies.SetRetention(latencyRawWindows * window)
 	if cfg.ReplicationFactor > 0 {
 		if err := c.initReplication(); err != nil {
 			return nil, err

@@ -844,31 +844,80 @@ func (c *Cluster) DeadNodes() []int {
 	return out
 }
 
-// pickReplica returns one serving replica of the partition, round-robin, or
-// nil when none exists.
+// pickReplica returns the partition's next replica on a live node, round-
+// robin, or nil when none exists. It does not ask the replica whether it
+// still serves: the read checks that under the one lock it takes anyway,
+// and a replica that stopped serving sends the read to the primary exactly
+// as one that stops mid-read always has.
 func (c *Cluster) pickReplica(pid int) *replication.Replica {
 	c.mu.RLock()
-	var reps []*replication.Replica
-	for _, h := range c.replicas[pid] {
-		if h.rep.Serving() && !c.deadNodes[h.node] {
-			reps = append(reps, h.rep)
-		}
-	}
-	c.mu.RUnlock()
-	if len(reps) == 0 {
+	defer c.mu.RUnlock()
+	hs := c.replicas[pid]
+	if len(hs) == 0 {
 		return nil
 	}
-	return reps[int(c.rrSeq.Add(1))%len(reps)]
+	first := int(c.rrSeq.Add(1) % uint64(len(hs)))
+	for i := range hs {
+		if h := hs[(first+i)%len(hs)]; !c.deadNodes[h.node] {
+			return h.rep
+		}
+	}
+	return nil
+}
+
+// replicaCannotServe reports whether a replica read's error means "ask the
+// primary" (bucket not here yet, writing procedure, stale horizon, replica
+// promoted or killed) rather than being the read's own outcome.
+func replicaCannotServe(err error) bool {
+	return storage.IsNotOwned(err) || errors.Is(err, storage.ErrReadOnly) ||
+		errors.Is(err, replication.ErrStaleRead) || errors.Is(err, replication.ErrReplicaGone)
+}
+
+// TryReadOnly is CallReadOnly's non-blocking first attempt, for callers that
+// must not wait (a connection's read loop runs it inline): it serves the
+// read iff a replica whose applied horizon already covers the session can
+// answer it right now. ok=false means the read would have to wait — replica
+// behind the session, none serving, mid-promotion, primary fallback — and
+// nothing was counted: the caller hands it to CallReadOnly off the loop.
+func (c *Cluster) TryReadOnly(proc, key string, args map[string]string, session map[int]uint64) (engine.Result, bool) {
+	return c.tryReadOnly(time.Now(), proc, key, args, session)
+}
+
+func (c *Cluster) tryReadOnly(start time.Time, proc, key string, args map[string]string, session map[int]uint64) (engine.Result, bool) {
+	pid := c.route.Load().owner[storage.BucketOf(key, c.cfg.NBuckets)]
+	rep := c.pickReplica(pid)
+	if rep == nil {
+		return engine.Result{}, false
+	}
+	out, served, err := rep.TrySessionRead(proc, key, args, session[pid])
+	if !served || replicaCannotServe(err) {
+		return engine.Result{}, false
+	}
+	c.offered.Add(start, 1)
+	return c.finishRead(start, engine.Result{Out: out, Err: err, Partition: pid}), true
+}
+
+// finishRead stamps and records a read's end-to-end latency.
+func (c *Cluster) finishRead(start time.Time, res engine.Result) engine.Result {
+	now := time.Now()
+	res.Latency = now.Sub(start)
+	c.latencies.Record(now, res.Latency)
+	return res
 }
 
 // CallReadOnly routes a read-only transaction to a replica of the key's
-// partition, enforcing session consistency: the replica waits until its
-// applied LSN covers the session's last write to that partition before
-// serving. With no replica available — or when the replica read fails
-// (stale horizon, mid-promotion) — the read falls back to the primary,
-// which trivially satisfies the session. Retries mirror Call.
+// partition, enforcing session consistency: a replica serves it only once
+// its applied LSN covers the session's last write to that partition. The
+// common read is TryReadOnly's single attempt; one that has to wait does so
+// here — for the replica's horizon, then, with no replica available or
+// when the replica read fails (stale horizon, mid-promotion), on the
+// primary, which trivially satisfies the session. Retries mirror Call.
+// Offered load and latency are counted once per read whichever path serves.
 func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session map[int]uint64) engine.Result {
 	start := time.Now()
+	if res, ok := c.tryReadOnly(start, proc, key, args, session); ok {
+		return res
+	}
 	c.offered.Add(start, 1)
 	deadline := start.Add(c.cfg.retryBudget())
 	bucket := storage.BucketOf(key, c.cfg.NBuckets)
@@ -878,17 +927,10 @@ func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session
 		pid := rt.owner[bucket]
 		if rep := c.pickReplica(pid); rep != nil {
 			out, err := rep.SessionRead(proc, key, args, session[pid])
-			if err == nil {
-				res = engine.Result{Out: out, Partition: pid}
+			if !replicaCannotServe(err) {
+				res = engine.Result{Out: out, Err: err, Partition: pid}
 				break
 			}
-			var notOwned *storage.ErrNotOwned
-			if !errors.As(err, &notOwned) && !errors.Is(err, storage.ErrReadOnly) &&
-				!errors.Is(err, replication.ErrStaleRead) && !errors.Is(err, replication.ErrReplicaGone) {
-				res = engine.Result{Err: err, Partition: pid}
-				break
-			}
-			// Replica cannot serve this read right now; the primary can.
 			c.events.Add(metrics.EventReplFallbackReads, 1)
 		}
 		exec, ok := rt.execs[pid]
@@ -901,8 +943,7 @@ func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session
 			c.events.Add(metrics.EventShed, 1)
 			break
 		}
-		var notOwned *storage.ErrNotOwned
-		retriable := errors.As(res.Err, &notOwned) ||
+		retriable := storage.IsNotOwned(res.Err) ||
 			errors.Is(res.Err, engine.ErrStopped) ||
 			(res.Err != nil && !ok)
 		if !retriable || attempt+1 >= c.cfg.retryAttempts() || time.Now().After(deadline) {
@@ -911,9 +952,7 @@ func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session
 		c.events.Add(metrics.EventMigrationRetries, 1)
 		time.Sleep(c.cfg.retryInterval())
 	}
-	res.Latency = time.Since(start)
-	c.latencies.Record(time.Now(), res.Latency)
-	return res
+	return c.finishRead(start, res)
 }
 
 // WaitReplicasCaughtUp blocks until every serving replica's applied LSN has

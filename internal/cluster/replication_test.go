@@ -265,6 +265,66 @@ func TestCallReadOnlyFallsBackWhenStale(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCountedOncePerRead pins the accounting the controller's
+// MeasureLoad rests on: every session read adds exactly one unit of offered
+// load and one latency sample, whether the non-blocking attempt serves it
+// (TryReadOnly, or CallReadOnly's first try) or it has to wait and fall back
+// to the primary — and an attempt that declines adds nothing.
+func TestReadOnlyCountedOncePerRead(t *testing.T) {
+	cfg := replConfig(1)
+	cfg.Replication.StaleReadTimeout = 5 * time.Millisecond
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	key := "once"
+	res := c.Call(&engine.Txn{Proc: "Put", Key: key, Args: map[string]string{"v": "1"}})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	waitQuiesced(t, c)
+	current := map[int]uint64{res.Partition: res.LSN}
+	ahead := map[int]uint64{res.Partition: res.LSN + 1_000_000}
+	counts := func() (offered, samples int, replica, fallback int64) {
+		return c.OfferedLoad().Total(), c.Latencies().Count(),
+			c.Events().Get(metrics.EventReplicaReads), c.Events().Get(metrics.EventReplFallbackReads)
+	}
+	off0, lat0, rep0, fb0 := counts()
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		if r, ok := c.TryReadOnly("Get", key, nil, current); !ok || r.Err != nil || r.Out["v"] != "1" {
+			t.Fatalf("TryReadOnly = %+v, %v; want served by the standby", r, ok)
+		}
+		if r := c.CallReadOnly("Get", key, nil, current); r.Err != nil || r.Out["v"] != "1" {
+			t.Fatalf("CallReadOnly = %+v", r)
+		}
+	}
+	off, lat, rep, fb := counts()
+	if off-off0 != 2*n || lat-lat0 != 2*n || rep-rep0 != 2*n || fb != fb0 {
+		t.Fatalf("after %d standby reads: offered +%v, samples +%d, replica reads +%d, fallbacks +%d",
+			2*n, off-off0, lat-lat0, rep-rep0, fb-fb0)
+	}
+
+	for i := 0; i < n; i++ {
+		if _, ok := c.TryReadOnly("Get", key, nil, ahead); ok {
+			t.Fatal("TryReadOnly served a read its standby has not caught up to")
+		}
+	}
+	if o, l, _, _ := counts(); o != off || l != lat {
+		t.Fatalf("declined attempts were counted: offered +%v, samples +%d", o-off, l-lat)
+	}
+	for i := 0; i < n; i++ {
+		if r := c.CallReadOnly("Get", key, nil, ahead); r.Err != nil || r.Out["v"] != "1" {
+			t.Fatalf("waiting CallReadOnly = %+v", r)
+		}
+	}
+	if o, l, _, f := counts(); o-off != n || l-lat != n || f-fb != n {
+		t.Fatalf("after %d waiting reads: offered +%v, samples +%d, fallbacks +%d", n, o-off, l-lat, f-fb)
+	}
+}
+
 func TestKillNodeValidation(t *testing.T) {
 	c, err := New(testConfig()) // replication off
 	if err != nil {

@@ -465,11 +465,28 @@ func (r *Replica) WaitApplied(min uint64, timeout time.Duration) error {
 	}
 }
 
-// SessionRead runs a read-only stored procedure against the replica after
-// waiting for its horizon to cover the session's minLSN. The partition is
-// put in read-only mode for the call, so a mistakenly routed writing
-// procedure fails instead of silently diverging the replica.
+// TrySessionRead is SessionRead's non-blocking attempt: if the replica is
+// serving and its horizon already covers the session's minLSN, the read
+// runs under one acquisition of r.mu and served is true. Otherwise nothing
+// ran and nothing was counted — the read would have to wait, which a caller
+// that must not block (a connection's read loop) leaves to SessionRead.
+func (r *Replica) TrySessionRead(proc, key string, args map[string]string, minLSN uint64) (out map[string]string, served bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.serving || r.applied < minLSN {
+		return nil, false, nil
+	}
+	out, err = r.readLocked(proc, key, args)
+	return out, true, err
+}
+
+// SessionRead runs a read-only stored procedure against the replica,
+// waiting first — up to StaleReadTimeout — for its horizon to cover the
+// session's minLSN when it does not already.
 func (r *Replica) SessionRead(proc, key string, args map[string]string, minLSN uint64) (map[string]string, error) {
+	if out, served, err := r.TrySessionRead(proc, key, args, minLSN); served {
+		return out, err
+	}
 	if err := r.WaitApplied(minLSN, r.opts.StaleReadTimeout); err != nil {
 		return nil, err
 	}
@@ -478,6 +495,13 @@ func (r *Replica) SessionRead(proc, key string, args map[string]string, minLSN u
 	if !r.serving {
 		return nil, ErrReplicaGone
 	}
+	return r.readLocked(proc, key, args)
+}
+
+// readLocked executes the read with the partition in read-only mode, so a
+// mistakenly routed writing procedure fails instead of silently diverging
+// the replica. Caller holds r.mu.
+func (r *Replica) readLocked(proc, key string, args map[string]string) (map[string]string, error) {
 	r.p.SetReadOnly(true)
 	out, err := engine.ReadOnlyCall(r.reg, r.p, proc, key, args)
 	r.p.SetReadOnly(false)

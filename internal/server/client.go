@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,6 +314,11 @@ func (c *Client) writeLoop() {
 			return
 		case <-c.wake:
 		}
+		// Yield once before taking the batch: the replies that made this
+		// caller runnable made its siblings runnable too, and letting them
+		// append first turns their requests into one write instead of one
+		// each (the loopy-writer trick from grpc-go).
+		runtime.Gosched()
 		c.mu.Lock()
 		conn := c.conn
 		gen := c.gen

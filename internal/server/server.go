@@ -12,7 +12,6 @@ import (
 
 	"pstore/internal/cluster"
 	"pstore/internal/engine"
-	"pstore/internal/metrics"
 	"pstore/internal/migration"
 	"pstore/internal/replication"
 )
@@ -105,10 +104,13 @@ func (s *Server) acceptLoop(lis net.Listener) {
 // reqPool recycles decoded requests (and their Args maps) across frames.
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
-// serveConn decodes frames as fast as they arrive and fans each request
-// out to the executors; replies are written back in completion order
-// through a batching writer, so responses from many concurrent
-// transactions coalesce into few syscalls.
+// serveConn decodes frames as fast as they arrive. Work that needs no
+// waiting — pings, reads a standby can answer right now — runs to completion
+// on this loop and its replies are flushed when the loop is about to block
+// (see deferredReplies); transactions go straight to the executors, whose
+// completion path encodes the reply; only a read that has to wait is handed
+// to another goroutine. Replies are written back in completion order through
+// a batching writer, so many of them coalesce into few syscalls.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -116,8 +118,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
 	w := newReplyWriter(conn)
+	inline := &deferredReplies{conn: conn, w: w}
+	br := bufio.NewReaderSize(inline, 64<<10)
 	runner := newCallRunner(s, w)
 	defer w.stop()
 	defer runner.wg.Wait()
@@ -140,8 +143,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		switch req.Kind {
 		case KindPing:
-			// Answered inline: no executor work, no goroutine.
-			w.reply(&Response{ID: req.ID})
+			inline.reply(&Response{ID: req.ID})
 			reqPool.Put(req)
 		case KindCall:
 			// Transactions dispatch straight from the read loop: the
@@ -149,7 +151,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			// per-in-flight-call goroutine exists to wake.
 			s.dispatchCall(req, w)
 		case KindRead:
-			runner.dispatch(req)
+			// A read that would wait (replica behind the session, primary
+			// fallback) must never run here: it would block every request
+			// queued behind it on this connection.
+			if res, ok := s.c.TryReadOnly(req.Proc, req.Key, req.Args, req.Session); ok {
+				resp := s.resultResponse(req.ID, res)
+				inline.reply(&resp)
+				reqPool.Put(req)
+			} else {
+				runner.dispatch(req)
+			}
 		default:
 			runner.wg.Add(1)
 			go func() {
@@ -162,10 +173,40 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// callRunner fans transactions out to a self-sizing pool of per-connection
-// worker goroutines. Workers are reused across requests, so steady-state
-// traffic pays no goroutine spawn (and no stack re-growth — transaction
-// call stacks run deep through cluster routing and the executor).
+// deferredReplies sits between a connection and its bufio.Reader and holds
+// the read loop's flush-before-block rule. Replies the loop produces itself
+// are appended to the replyWriter without waking the flusher; bufio calls
+// Read only when its buffer has run dry, which is when the loop is about to
+// wait on the socket and therefore when they must go out. A burst of
+// pipelined requests is thus answered in one write, a lone request on an
+// idle connection is flushed before the loop waits for the next, and the
+// added delay is bounded by one read buffer of requests. Replies completed
+// on other goroutines (executor, group commit, callRunner) wake the flusher
+// themselves and carry along whatever is buffered. Read-loop goroutine only.
+type deferredReplies struct {
+	conn    net.Conn
+	w       *replyWriter
+	pending bool
+}
+
+func (d *deferredReplies) Read(p []byte) (int, error) {
+	if d.pending {
+		d.pending = false
+		d.w.kick()
+	}
+	return d.conn.Read(p)
+}
+
+func (d *deferredReplies) reply(resp *Response) {
+	d.w.append(resp)
+	d.pending = true
+}
+
+// callRunner is the one off-loop path for reads: session reads that have to
+// wait park on a self-sizing pool of per-connection worker goroutines.
+// Workers are reused across requests, so a run of them pays no goroutine
+// spawn (and no stack re-growth — the primary-fallback call stack runs deep
+// through cluster routing and the executor).
 type callRunner struct {
 	s    *Server
 	w    *replyWriter
@@ -175,6 +216,9 @@ type callRunner struct {
 }
 
 func newCallRunner(s *Server, w *replyWriter) *callRunner {
+	// The buffer lets the read loop run ahead of a burst of waiting reads
+	// while workers spin up; past it the loop blocks, which is the
+	// connection's backpressure.
 	return &callRunner{s: s, w: w, ch: make(chan *Request, 256)}
 }
 
@@ -194,7 +238,9 @@ func (r *callRunner) worker() {
 	r.idle.Add(1)
 	for req := range r.ch {
 		r.idle.Add(-1)
-		r.s.handleCall(req, r.w)
+		resp := r.s.resultResponse(req.ID, r.s.c.CallReadOnly(req.Proc, req.Key, req.Args, req.Session))
+		r.w.reply(&resp)
+		reqPool.Put(req)
 		r.idle.Add(1)
 	}
 	r.idle.Add(-1)
@@ -230,39 +276,15 @@ func (cc *callCompletion) Complete(res engine.Result) {
 	s, w, req, txn := cc.s, cc.w, cc.req, cc.txn
 	*cc = callCompletion{}
 	callCompletions.Put(cc)
-	resp := Response{ID: req.ID, Out: res.Out, Latency: res.Latency,
-		Routed: true, Part: res.Partition, LSN: res.LSN}
-	if res.Err != nil {
-		resp.Err = res.Err.Error()
-		resp.Abort = engine.IsAbort(res.Err)
-		if errors.Is(res.Err, engine.ErrOverloaded) {
-			resp.Busy = true
-			resp.RetryAfter = s.c.ShedRetryAfter()
-		} else if errors.Is(res.Err, replication.ErrQuorumLost) || errors.Is(res.Err, replication.ErrFenced) {
-			// Shed pre-execution by the primary's self-fencing gate: safe to
-			// retry once the monitor restores quorum or promotes a successor.
-			resp.Busy = true
-			resp.RetryAfter = s.c.FenceRetryAfter()
-		}
-	}
+	resp := s.resultResponse(req.ID, res)
 	w.reply(&resp) // encodes Out before the txn (which owns it) is released
 	txn.Release()
 	reqPool.Put(req)
 }
 
-// handleCall runs one session-consistent read synchronously on a runner
-// worker: pooled Txn in, batched reply out. (Transactions take the async
-// dispatchCall path instead.)
-func (s *Server) handleCall(req *Request, w *replyWriter) {
-	var res engine.Result
-	var txn *engine.Txn
-	if req.Kind == KindRead {
-		res = s.c.CallReadOnly(req.Proc, req.Key, req.Args, req.Session)
-	} else {
-		txn = engine.AcquireTxn(req.Proc, req.Key, req.Args)
-		res = s.c.Call(txn)
-	}
-	resp := Response{ID: req.ID, Out: res.Out, Latency: res.Latency,
+// resultResponse maps a routed call's or read's outcome onto its wire reply.
+func (s *Server) resultResponse(id uint64, res engine.Result) Response {
+	resp := Response{ID: id, Out: res.Out, Latency: res.Latency,
 		Routed: true, Part: res.Partition, LSN: res.LSN}
 	if res.Err != nil {
 		resp.Err = res.Err.Error()
@@ -273,16 +295,13 @@ func (s *Server) handleCall(req *Request, w *replyWriter) {
 			resp.Busy = true
 			resp.RetryAfter = s.c.ShedRetryAfter()
 		} else if errors.Is(res.Err, replication.ErrQuorumLost) || errors.Is(res.Err, replication.ErrFenced) {
-			// Fenced or quorum-degraded primary, also shed pre-execution.
+			// Shed pre-execution by the primary's self-fencing gate: safe to
+			// retry once the monitor restores quorum or promotes a successor.
 			resp.Busy = true
 			resp.RetryAfter = s.c.FenceRetryAfter()
 		}
 	}
-	w.reply(&resp) // encodes Out before the txn (which owns it) is reused
-	if txn != nil {
-		txn.Release()
-	}
-	reqPool.Put(req)
+	return resp
 }
 
 // handleSlow serves the rare non-transactional kinds.
@@ -340,10 +359,7 @@ func (s *Server) stats() *Stats {
 		OfferedTxns: s.c.OfferedLoad().Total(),
 	}
 	if ws := s.c.Latencies().Windows(); len(ws) > 0 {
-		vals := metrics.PercentileSeries(ws, 99)
-		if len(vals) > 0 {
-			st.P99 = ws[len(ws)-1].P99
-		}
+		st.P99 = ws[len(ws)-1].P99
 	}
 	rs := s.c.ReplicationStats()
 	st.ReplFactor = rs.Factor
@@ -391,14 +407,24 @@ func newReplyWriter(conn net.Conn) *replyWriter {
 	return w
 }
 
-// reply encodes resp into the batch buffer and nudges the flusher. After a
-// write error the connection is dead; frames are dropped.
+// reply encodes resp into the batch buffer and nudges the flusher.
 func (w *replyWriter) reply(resp *Response) {
+	w.append(resp)
+	w.kick()
+}
+
+// append encodes resp into the batch buffer. After a write error the
+// connection is dead; frames are dropped.
+func (w *replyWriter) append(resp *Response) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.buf = appendResponse(w.buf, resp)
 	}
 	w.mu.Unlock()
+}
+
+// kick wakes the flusher; a no-op when a wake is already pending.
+func (w *replyWriter) kick() {
 	select {
 	case w.wake <- struct{}{}:
 	default:
