@@ -80,37 +80,23 @@ func col(v storage.TupleView, name string) string {
 	return s
 }
 
-// addLineToCart adds a new item to the shopping cart, creating the cart if
-// it does not exist yet.
+// addLineToCart adds an item to the shopping cart, creating the cart if it
+// does not exist yet. The stored lines are edited in place (addLine), not
+// decoded and re-encoded.
 func addLineToCart(tx *engine.Txn) error {
 	v, ok, err := tx.GetView(TableCart, tx.Key)
 	if err != nil {
 		return err
 	}
-	var lines []Line
+	var stored string
 	if ok {
-		if lines, err = decodeLines(col(v, "lines")); err != nil {
-			return err
-		}
+		stored = col(v, "lines")
 	}
 	qty, _ := strconv.Atoi(tx.Arg("qty"))
 	if qty <= 0 {
 		qty = 1
 	}
-	price, _ := strconv.ParseFloat(tx.Arg("price"), 64)
-	sku := tx.Arg("sku")
-	found := false
-	for i := range lines {
-		if lines[i].SKU == sku {
-			lines[i].Quantity += qty
-			found = true
-			break
-		}
-	}
-	if !found {
-		lines = append(lines, Line{SKU: sku, Quantity: qty, Price: price})
-	}
-	enc, err := encodeLines(lines)
+	enc, err := addLine(stored, tx.Arg("sku"), qty, tx.Arg("price"))
 	if err != nil {
 		return err
 	}

@@ -53,24 +53,94 @@ func encodeLines(lines []Line) (string, error) {
 	}
 	var sb strings.Builder
 	sb.Grow(24 * len(lines))
-	var scratch [40]byte
 	for i, l := range lines {
-		if strings.ContainsAny(l.SKU, "\x1e\x1f") || strings.ContainsAny(l.Status, "\x1e\x1f") {
-			return "", fmt.Errorf("b2w: line field contains separator byte: %+v", l)
-		}
 		if i > 0 {
 			sb.WriteByte(lineSep)
 		}
-		sb.WriteString(l.SKU)
-		sb.WriteByte(fieldSep)
-		b := strconv.AppendInt(scratch[:0], int64(l.Quantity), 10)
-		b = append(b, fieldSep)
-		b = strconv.AppendFloat(b, l.Price, 'g', -1, 64)
-		sb.Write(b)
-		if l.Status != "" {
-			sb.WriteByte(fieldSep)
-			sb.WriteString(l.Status)
+		if err := writeLine(&sb, l); err != nil {
+			return "", err
 		}
+	}
+	return sb.String(), nil
+}
+
+// writeLine writes one line record, refusing fields that would smuggle in a
+// separator.
+func writeLine(sb *strings.Builder, l Line) error {
+	if strings.ContainsAny(l.SKU, "\x1e\x1f") || strings.ContainsAny(l.Status, "\x1e\x1f") {
+		return fmt.Errorf("b2w: line field contains separator byte: %+v", l)
+	}
+	var scratch [40]byte
+	sb.WriteString(l.SKU)
+	sb.WriteByte(fieldSep)
+	b := strconv.AppendInt(scratch[:0], int64(l.Quantity), 10)
+	b = append(b, fieldSep)
+	b = strconv.AppendFloat(b, l.Price, 'g', -1, 64)
+	sb.Write(b)
+	if l.Status != "" {
+		sb.WriteByte(fieldSep)
+		sb.WriteString(l.Status)
+	}
+	return nil
+}
+
+// addLine returns lines with qty more of sku, editing the encoded value
+// instead of decoding it: the first line holding sku gets its quantity
+// digits replaced and every other byte is copied verbatim; without one, a
+// new line record (priced from priceArg) is appended. For values
+// encodeLines wrote, the result is byte-identical to decoding, mutating
+// and re-encoding. Legacy JSON values take that decode path and come back
+// in the compact format.
+func addLine(lines, sku string, qty int, priceArg string) (string, error) {
+	if strings.HasPrefix(lines, "[") {
+		decoded, err := decodeLines(lines)
+		if err != nil {
+			return "", err
+		}
+		for i := range decoded {
+			if decoded[i].SKU == sku {
+				decoded[i].Quantity += qty
+				return encodeLines(decoded)
+			}
+		}
+		price, _ := strconv.ParseFloat(priceArg, 64)
+		return encodeLines(append(decoded, Line{SKU: sku, Quantity: qty, Price: price}))
+	}
+	for start := 0; start < len(lines); {
+		end := len(lines)
+		if i := strings.IndexByte(lines[start:], lineSep); i >= 0 {
+			end = start + i
+		}
+		rec := lines[start:end]
+		if i := strings.IndexByte(rec, fieldSep); i >= 0 && rec[:i] == sku {
+			qStart, qEnd := start+i+1, end
+			if j := strings.IndexByte(lines[qStart:end], fieldSep); j >= 0 {
+				qEnd = qStart + j
+			}
+			q, err := strconv.Atoi(lines[qStart:qEnd])
+			if err != nil {
+				return "", fmt.Errorf("b2w: decoding line qty %q: %w", lines[qStart:qEnd], err)
+			}
+			var digits [20]byte
+			d := strconv.AppendInt(digits[:0], int64(q+qty), 10)
+			var sb strings.Builder
+			sb.Grow(len(lines) - (qEnd - qStart) + len(d))
+			sb.WriteString(lines[:qStart])
+			sb.Write(d)
+			sb.WriteString(lines[qEnd:])
+			return sb.String(), nil
+		}
+		start = end + 1
+	}
+	price, _ := strconv.ParseFloat(priceArg, 64)
+	var sb strings.Builder
+	sb.Grow(len(lines) + len(sku) + 32)
+	if lines != "" {
+		sb.WriteString(lines)
+		sb.WriteByte(lineSep)
+	}
+	if err := writeLine(&sb, Line{SKU: sku, Quantity: qty, Price: price}); err != nil {
+		return "", err
 	}
 	return sb.String(), nil
 }

@@ -587,8 +587,10 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 		return
 	}
 
-	part, applied, repEpoch, rmgr := best.rep.Promote()
+	// Stop the tail before promoting: a record it applied must also be in
+	// the standby's log when that log becomes the primary's.
 	best.tail.Stop()
+	part, applied, repEpoch, rmgr := best.rep.Promote()
 	for _, t := range c.cfg.Tables {
 		part.CreateTable(t)
 	}
@@ -1126,10 +1128,20 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 				continue
 			}
 			s.Replicas++
-			if lag := head - h.rep.Applied(); lag > s.MaxLagRecords {
+			if lag := lagRecords(head, h.rep.Applied()); lag > s.MaxLagRecords {
 				s.MaxLagRecords = lag
 			}
 		}
 	}
 	return s
+}
+
+// lagRecords is how far a replica's applied LSN trails a feed head read
+// earlier. The two reads are not synchronized: a replica that applied past
+// the stale head is caught up, not 2⁶⁴ records behind.
+func lagRecords(head, applied uint64) uint64 {
+	if applied >= head {
+		return 0
+	}
+	return head - applied
 }

@@ -409,3 +409,38 @@ func TestFencedFeedRejectsWrites(t *testing.T) {
 		t.Fatalf("append to fenced feed: %v, want ErrFenced", err)
 	}
 }
+
+// TestMaxLagRecordsClampsStaleHead: ReplicationStats reads a feed head and
+// then each replica's applied LSN. A replica that applies past the head read
+// first is caught up; the unsigned gap must clamp at zero, not wrap.
+func TestMaxLagRecordsClampsStaleHead(t *testing.T) {
+	c, err := New(replConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	put := func(key string) engine.Result {
+		res := c.Call(&engine.Txn{Proc: "Put", Key: key, Args: map[string]string{"v": key}})
+		if res.Err != nil {
+			t.Fatalf("put %s: %v", key, res.Err)
+		}
+		return res
+	}
+	pid := put("lag-0").Partition
+	waitQuiesced(t, c)
+	c.mu.RLock()
+	feed, rep := c.feeds[pid], c.replicas[pid][0].rep
+	c.mu.RUnlock()
+	head := feed.LSN()
+	for i := 1; rep.Applied() <= head; i++ {
+		if res := put(fmt.Sprintf("lag-%d", i)); res.Partition == pid {
+			waitQuiesced(t, c)
+		}
+	}
+	if lag := lagRecords(head, rep.Applied()); lag != 0 {
+		t.Fatalf("replica applied %d past stale head %d: lag = %d, want 0", rep.Applied(), head, lag)
+	}
+	if got := lagRecords(head, head-1); got != 1 {
+		t.Fatalf("lagRecords(%d, %d) = %d, want 1", head, head-1, got)
+	}
+}

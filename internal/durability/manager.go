@@ -1,10 +1,10 @@
 package durability
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,12 +59,17 @@ type Manager struct {
 	log  *wal
 
 	appended atomic.Int64
-	// seq is the last assigned log sequence number (the replication LSN).
-	// Appends are serialized by the caller — the partition's executor, or a
-	// replication feed's append mutex — so a plain atomic counter stays
-	// contiguous.
-	seq atomic.Uint64
+	// seq is the last logged sequence number (the replication LSN). mu
+	// makes LSN assignment and the log write one step, so LSNs reach the
+	// log in order even when a migration's handoff races the executor.
+	seq     atomic.Uint64
+	mu      sync.Mutex
+	scratch []byte // encode buffer for records the manager encodes itself; guarded by mu
 }
+
+// maxScratch bounds the encode buffer a manager keeps between appends: a
+// bucket-in record may be large, and must not pin its size forever.
+const maxScratch = 64 << 10
 
 // Open creates or reopens the durability directory for a partition. Call
 // Recover before starting the partition's executor when reopening existing
@@ -74,7 +79,6 @@ func Open(dir string, partition int, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	l, err := openWAL(dir, walOptions{
-		syncEvery:    opts.SyncEvery,
 		syncInterval: opts.GroupCommitInterval,
 		batchSize:    opts.GroupCommitBatch,
 		segmentBytes: opts.SegmentBytes,
@@ -91,7 +95,7 @@ func (m *Manager) Dir() string { return m.dir }
 // Appended returns the number of records appended since Open.
 func (m *Manager) Appended() int64 { return m.appended.Load() }
 
-// Seq returns the last assigned log sequence number.
+// Seq returns the last logged sequence number.
 func (m *Manager) Seq() uint64 { return m.seq.Load() }
 
 // SetBaseSeq aligns the manager's sequence counter so the next append gets
@@ -99,38 +103,22 @@ func (m *Manager) Seq() uint64 { return m.seq.Load() }
 // that must continue its primary's LSN space.
 func (m *Manager) SetBaseSeq(n uint64) { m.seq.Store(n) }
 
-// Append implements engine.CommandLog: it logs a committed transaction and
-// runs onDurable after the record is fsynced (group commit).
+// Append implements engine.CommandLog for a partition without replication:
+// the invocation is encoded once, at epoch 0, straight into the log, and
+// onDurable runs after the record is fsynced (group commit).
 func (m *Manager) Append(proc, key string, args map[string]string, onDurable func(uint64, error)) {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	var cb func(error)
-	if onDurable != nil {
-		cb = func(err error) { onDurable(seq, err) }
-	}
-	err := m.log.append(&Record{Seq: seq, Kind: kindTxn, Proc: proc, Key: key, Args: args}, cb)
+	lsn, err := m.logRecord(&Record{Kind: KindTxn, Proc: proc, Key: key, Args: args}, onDurable)
 	if err != nil && onDurable != nil {
-		onDurable(seq, err)
+		onDurable(lsn, err)
 	}
 }
 
 var _ engine.CommandLog = (*Manager)(nil)
 
-// AppendPut logs a direct row load (cluster.LoadRow through a replication
-// feed). Asynchronous: the record rides the next group commit — bulk
-// preloads must not pay one fsync per row.
-func (m *Manager) AppendPut(table, key string, cols map[string]string) (uint64, error) {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	return seq, m.log.append(&Record{Seq: seq, Kind: kindPut, Tab: table, Key: key, Args: cols}, nil)
-}
-
 // LogBucketOut durably records that the partition handed the bucket to a
 // peer. Synchronous: the handoff is on disk when it returns.
 func (m *Manager) LogBucketOut(bucket int) error {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	if err := m.log.append(&Record{Seq: seq, Kind: kindBucketOut, Bucket: bucket}, nil); err != nil {
+	if _, err := m.logRecord(&Record{Kind: KindBucketOut, Bucket: bucket}, nil); err != nil {
 		return err
 	}
 	return m.log.sync()
@@ -141,16 +129,67 @@ func (m *Manager) LogBucketOut(bucket int) error {
 // reproduces the bucket without consulting the sender's history.
 // Synchronous: the caller may apply the bucket once this returns.
 func (m *Manager) LogBucketIn(data *storage.BucketData) error {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	if err := m.log.append(&Record{Seq: seq, Kind: kindBucketIn, Bucket: data.Bucket, Data: raw}, nil); err != nil {
+	if _, err := m.logRecord(&Record{Kind: KindBucketIn, Bucket: data.Bucket, Data: data}, nil); err != nil {
 		return err
 	}
 	return m.log.sync()
+}
+
+// logRecord stamps rec with the next LSN, encodes it and logs it.
+func (m *Manager) logRecord(rec *Record, onDurable func(uint64, error)) (uint64, error) {
+	m.mu.Lock()
+	rec.LSN = m.seq.Load() + 1
+	m.scratch = AppendRecord(m.scratch[:0], rec)
+	err := m.writeLocked(m.scratch, onDurable)
+	if cap(m.scratch) > maxScratch {
+		m.scratch = nil
+	}
+	m.mu.Unlock()
+	return rec.LSN, m.syncEvery(err, onDurable)
+}
+
+// Log appends a payload exactly as AppendRecord encoded it: a replication
+// feed logs the payload it ships, a standby the payload it received, so a
+// write is encoded once and every later copy is a copy of its bytes. The
+// payload's LSN must be the next seq. onDurable, if set, runs after the
+// fsync covering the record; on an error return it never runs.
+func (m *Manager) Log(payload []byte, onDurable func(uint64, error)) error {
+	m.mu.Lock()
+	err := m.writeLocked(payload, onDurable)
+	m.mu.Unlock()
+	return m.syncEvery(err, onDurable)
+}
+
+// writeLocked logs one payload at its LSN, the next seq. A payload whose
+// frame was written takes its LSN even when the write reports an error, so
+// the seq never falls behind what the log holds. Caller holds m.mu.
+func (m *Manager) writeLocked(payload []byte, onDurable func(uint64, error)) error {
+	lsn, err := payloadLSN(payload)
+	if err != nil {
+		return err
+	}
+	if next := m.seq.Load() + 1; lsn != next {
+		return fmt.Errorf("durability: partition %d: record LSN %d, want next seq %d", m.part, lsn, next)
+	}
+	written, err := m.log.append(payload, durableCb{seq: lsn, fn: onDurable})
+	if written {
+		m.seq.Store(lsn)
+		m.appended.Add(1)
+	}
+	return err
+}
+
+// syncEvery completes a successful write in per-append sync mode (outside
+// m.mu: the sync runs durable callbacks). The sync's outcome reaches the
+// record's own callback, so it is returned only to a caller without one.
+func (m *Manager) syncEvery(err error, onDurable func(uint64, error)) error {
+	if err != nil || !m.opts.SyncEvery {
+		return err
+	}
+	if serr := m.log.sync(); onDurable == nil {
+		return serr
+	}
+	return nil
 }
 
 // Snapshot persists the partition's full contents, rotates the log and
@@ -190,15 +229,9 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 	stats.SnapshotLoaded = found
 	seq := snapSeq
 	err = replaySegments(m.dir, fromSeg, func(rec *Record) error {
-		// Restore the LSN counter. Legacy records without a Seq advance it
-		// by one each, which matches how they would have been stamped.
-		if rec.Seq > 0 {
-			seq = rec.Seq
-		} else {
-			seq++
-		}
+		seq = rec.LSN
 		switch rec.Kind {
-		case kindTxn:
+		case KindTxn:
 			if err := engine.ReplayTxn(reg, part, rec.Proc, rec.Key, rec.Args); err != nil {
 				if isNotOwnedErr(err) {
 					// A command for a bucket the partition no longer owns:
@@ -211,24 +244,20 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 				return err
 			}
 			stats.Txns++
-		case kindBucketIn:
-			var data storage.BucketData
-			if err := json.Unmarshal(rec.Data, &data); err != nil {
-				return fmt.Errorf("durability: bucket-in record: %w", err)
-			}
+		case KindBucketIn:
 			// Idempotent: drop any stale copy before applying the logged
 			// authoritative contents.
-			if part.Owns(data.Bucket) {
-				if err := part.DropBucket(data.Bucket); err != nil {
+			if part.Owns(rec.Bucket) {
+				if err := part.DropBucket(rec.Bucket); err != nil {
 					return err
 				}
 			}
-			if err := part.ApplyBucket(&data); err != nil {
+			if err := part.ApplyBucket(rec.Data); err != nil {
 				return err
 			}
-			stats.FromHandoff[data.Bucket] = true
+			stats.FromHandoff[rec.Bucket] = true
 			stats.BucketsIn++
-		case kindBucketOut:
+		case KindBucketOut:
 			if part.Owns(rec.Bucket) {
 				if err := part.DropBucket(rec.Bucket); err != nil {
 					return err
@@ -238,7 +267,7 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 			} else {
 				stats.Skipped++
 			}
-		case kindPut:
+		case KindPut:
 			if !part.OwnsKey(rec.Key) {
 				stats.Skipped++
 				return nil
@@ -257,17 +286,18 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 	return stats, err
 }
 
-// ReadFrom streams every durable record with Seq > afterSeq, in order, to
-// fn — the replication catch-up path for a replica whose subscription
-// point fell off the feed's in-memory buffer. It tolerates running
+// ReadFrom streams every durable record with LSN > afterSeq, in order, to
+// fn (the Record is reused once fn returns) — the replication catch-up
+// path for a replica whose subscription point fell off the feed's
+// in-memory buffer. It tolerates running
 // concurrently with active appends: a torn tail ends the stream silently,
 // exactly like recovery, and the caller bridges any remaining gap from the
 // feed buffer or retries. Records logged before the latest snapshot are
-// gone (truncated); the caller detects the gap from the first record's Seq
+// gone (truncated); the caller detects the gap from the first record's LSN
 // and falls back to a full snapshot.
 func (m *Manager) ReadFrom(afterSeq uint64, fn func(*Record) error) error {
 	return replaySegments(m.dir, 0, func(rec *Record) error {
-		if rec.Seq <= afterSeq {
+		if rec.LSN <= afterSeq {
 			return nil
 		}
 		return fn(rec)
@@ -285,9 +315,12 @@ func (m *Manager) Flush() error { return m.log.sync() }
 // FlushAsync registers cb to run once everything appended so far is on
 // stable storage, riding the group-commit machinery instead of blocking on
 // an fsync of its own — the hook replica tails use to pipeline standby
-// group commits. cb runs on the WAL's committer goroutine (or inline, with
-// ErrClosed, if the log is closed).
-func (m *Manager) FlushAsync(cb func(error)) { m.log.requestSync(cb) }
+// group commits. cb receives the last seq the flush covers. It runs on the
+// WAL's committer goroutine (or inline, with ErrClosed, if the log is
+// closed).
+func (m *Manager) FlushAsync(cb func(uint64, error)) {
+	m.log.requestSync(durableCb{seq: m.seq.Load(), fn: cb})
+}
 
 // Close flushes and closes the log.
 func (m *Manager) Close() error { return m.log.close() }

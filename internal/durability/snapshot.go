@@ -2,7 +2,7 @@ package durability
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,73 +10,71 @@ import (
 	"pstore/internal/storage"
 )
 
-// snapshotHeader opens a snapshot file: where replay resumes and what the
-// partition looked like.
-type snapshotHeader struct {
-	Partition int      `json:"partition"`
-	NBuckets  int      `json:"nbuckets"`
-	Seg       int      `json:"seg"`           // first WAL segment to replay after loading
-	Seq       uint64   `json:"seq,omitempty"` // LSN covered by the snapshot; replay resumes after it
-	Tables    []string `json:"tables"`
-	Buckets   int      `json:"buckets"` // bucket records following the header
-}
-
-// A snapshot file is a JSON stream: one snapshotHeader, then Buckets
-// storage.BucketData values. Files are written to a temp name, fsynced and
-// renamed into place, so a snapshot is either complete or absent. The file
-// is named after the WAL segment replay resumes from, making
+// A snapshot file is a sequence of WAL frames (len32|crc32|payload): one
+// header, then one AppendBucketData payload per owned bucket — the same
+// bucket encoding bucket-in records and the ship stream use. The header
+// payload is
+//
+//	uvarint partition | uvarint nbuckets | uvarint seg | uvarint seq |
+//	uvarint ntables | ntables × str table | uvarint buckets
+//
+// where seg is the first WAL segment replay resumes from and seq the LSN the
+// snapshot covers. Files are written to a temp name, fsynced and renamed
+// into place, so a snapshot is either complete or absent — a torn frame in
+// one is corruption, not a tail. The file is named after seg, making
 // snapshot/segment pairing visible in a directory listing.
 
 // writeSnapshot persists the partition's full contents. The caller must
 // hold exclusive access to the partition (the executor's goroutine, or
 // recovery before executors start).
 func writeSnapshot(dir string, part *storage.Partition, seg int, seq uint64) error {
-	hdr := snapshotHeader{
-		Partition: part.ID(),
-		NBuckets:  part.NBuckets(),
-		Seg:       seg,
-		Seq:       seq,
-		Tables:    part.Tables(),
-		Buckets:   len(part.OwnedBuckets()),
-	}
 	tmp := filepath.Join(dir, snapshotName(seg)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	w := bufio.NewWriterSize(f, 1<<16)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&hdr); err != nil {
-		f.Close()
-		return err
+	err = writeSnapshotFrames(bufio.NewWriterSize(f, 1<<16), part, seg, seq)
+	if err == nil {
+		err = f.Sync()
 	}
-	for _, b := range part.OwnedBuckets() {
-		data, err := part.CopyBucket(b)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := enc.Encode(data); err != nil {
-			f.Close()
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapshotName(seg))); err != nil {
 		return err
 	}
 	return syncDir(dir)
+}
+
+func writeSnapshotFrames(w *bufio.Writer, part *storage.Partition, seg int, seq uint64) error {
+	tables, owned := part.Tables(), part.OwnedBuckets()
+	buf := binary.AppendUvarint(nil, uint64(part.ID()))
+	buf = binary.AppendUvarint(buf, uint64(part.NBuckets()))
+	buf = binary.AppendUvarint(buf, uint64(seg))
+	buf = binary.AppendUvarint(buf, seq)
+	buf = binary.AppendUvarint(buf, uint64(len(tables)))
+	for _, t := range tables {
+		buf = AppendString(buf, t)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(owned)))
+	if err := writeFrame(w, buf); err != nil {
+		return err
+	}
+	for _, b := range owned {
+		data, err := part.CopyBucket(b)
+		if err != nil {
+			return err
+		}
+		buf = AppendBucketData(buf[:0], data)
+		if err := writeFrame(w, buf); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }
 
 // loadSnapshot restores the latest snapshot in dir into the (empty)
@@ -91,39 +89,58 @@ func loadSnapshot(dir string, part *storage.Partition) (seg int, seq uint64, fou
 	if len(snaps) == 0 {
 		return 0, 0, false, nil
 	}
-	n := snaps[len(snaps)-1]
-	f, err := os.Open(filepath.Join(dir, snapshotName(n)))
+	name := snapshotName(snaps[len(snaps)-1])
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 1<<16))
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, 0, false, fmt.Errorf("durability: snapshot %s header: %w", snapshotName(n), err)
+	seg, seq, err = readSnapshot(bufio.NewReaderSize(f, 1<<16), part)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("durability: snapshot %s: %w", name, err)
 	}
-	if hdr.Partition != part.ID() {
-		return 0, 0, false, fmt.Errorf("durability: snapshot %s is for partition %d, not %d",
-			snapshotName(n), hdr.Partition, part.ID())
+	return seg, seq, true, nil
+}
+
+// readSnapshot applies one snapshot file's frames to part.
+func readSnapshot(r *bufio.Reader, part *storage.Partition) (seg int, seq uint64, err error) {
+	var buf []byte
+	payload, err := readFrame(r, &buf)
+	d := NewDecoder(payload)
+	id, nBuckets, hseg, seq := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	tables := make([]string, d.count(1))
+	for i := range tables {
+		tables[i] = d.Str()
 	}
-	if hdr.NBuckets != part.NBuckets() {
-		return 0, 0, false, fmt.Errorf("durability: snapshot %s has %d buckets, cluster has %d",
-			snapshotName(n), hdr.NBuckets, part.NBuckets())
+	nb := d.Uvarint()
+	if err == nil {
+		err = d.Done()
 	}
-	for _, t := range hdr.Tables {
+	if err != nil {
+		return 0, 0, fmt.Errorf("header: %w", err)
+	}
+	if int(id) != part.ID() || int(nBuckets) != part.NBuckets() {
+		return 0, 0, fmt.Errorf("written for partition %d of %d buckets, not partition %d of %d",
+			id, nBuckets, part.ID(), part.NBuckets())
+	}
+	for _, t := range tables {
 		part.CreateTable(t)
 	}
-	for i := 0; i < hdr.Buckets; i++ {
-		var data storage.BucketData
-		if err := dec.Decode(&data); err != nil {
-			return 0, 0, false, fmt.Errorf("durability: snapshot %s bucket %d/%d: %w",
-				snapshotName(n), i+1, hdr.Buckets, err)
+	for i := uint64(0); i < nb; i++ {
+		payload, err := readFrame(r, &buf)
+		d := NewDecoder(payload)
+		data := d.BucketData()
+		if err == nil {
+			err = d.Done()
 		}
-		if err := part.ApplyBucket(&data); err != nil {
-			return 0, 0, false, err
+		if err != nil {
+			return 0, 0, fmt.Errorf("bucket %d/%d: %w", i+1, nb, err)
+		}
+		if err := part.ApplyBucket(data); err != nil {
+			return 0, 0, err
 		}
 	}
-	return hdr.Seg, hdr.Seq, true, nil
+	return int(hseg), seq, nil
 }
 
 // pruneSnapshots removes all snapshots older than keep (a segment number).

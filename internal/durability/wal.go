@@ -13,19 +13,16 @@
 // BenchmarkDurabilityOverhead).
 package durability
 
-//pstore:deterministic — log records and snapshots are replayed and
-// checksum-compared across crash/recovery runs; encoding must be byte-stable.
-
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,45 +32,17 @@ import (
 // ErrClosed is returned for appends to a closed log.
 var ErrClosed = errors.New("durability: log closed")
 
-// Record kinds. A command log mostly holds transactions; bucket-in/out
-// records make migration ownership handoffs durable, so a partition's log
-// is self-contained: replaying it never needs another partition's history.
-const (
-	kindTxn       = 1 // a committed stored-procedure invocation
-	kindBucketIn  = 2 // bucket received from a peer, full contents inline
-	kindBucketOut = 3 // bucket handed off to a peer
-	kindPut       = 4 // a direct row load (cluster.LoadRow through a feed)
-)
-
-// Exported record kinds for consumers of the tail reader (ReadFrom) — the
-// replication feed re-encodes durable records as ship frames.
-const (
-	KindTxn       = kindTxn
-	KindBucketIn  = kindBucketIn
-	KindBucketOut = kindBucketOut
-	KindPut       = kindPut
-)
-
-// Record is one durable log entry.
-type Record struct {
-	// Seq is the record's log sequence number, contiguous per partition.
-	// It doubles as the replication LSN: a replica subscribed at LSN n can
-	// be caught up from disk by streaming records with Seq > n.
-	Seq  uint64            `json:"s,omitempty"`
-	Kind int               `json:"k"`
-	Proc string            `json:"p,omitempty"`
-	Key  string            `json:"key,omitempty"`
-	Tab  string            `json:"t,omitempty"` // kindPut's table
-	Args map[string]string `json:"a,omitempty"`
-	// Bucket and Data carry migration handoffs (kindBucketIn/kindBucketOut).
-	Bucket int             `json:"b,omitempty"`
-	Data   json.RawMessage `json:"d,omitempty"`
+// durableCb is one pending group-commit callback: fn(seq, err) runs once an
+// fsync covering the record logged at seq lands. Carrying seq beside fn is
+// what lets a caller register its callback without a per-record closure.
+type durableCb struct {
+	seq uint64
+	fn  func(uint64, error)
 }
 
 // walOptions tunes the log. Zero values select the defaults documented on
 // Options.
 type walOptions struct {
-	syncEvery    bool
 	syncInterval time.Duration
 	batchSize    int
 	segmentBytes int64
@@ -93,7 +62,7 @@ type wal struct {
 	seg     int    // current segment number
 	segSize int64  // bytes written to the current segment
 	fileGen uint64 // bumped whenever file changes; written under mu AND syncMu
-	pending []func(error)
+	pending []durableCb
 	closed  bool
 	crashed bool
 
@@ -113,7 +82,8 @@ const (
 	defaultSyncInterval = 2 * time.Millisecond
 	defaultBatchSize    = 64
 	defaultSegmentBytes = 4 << 20
-	frameHeaderSize     = 8 // uint32 length + uint32 crc32
+	frameHeaderSize     = 8       // uint32 length + uint32 crc32
+	maxFrame            = 1 << 30 // a larger length field is garbage, not a record
 )
 
 func segmentName(n int) string  { return fmt.Sprintf("wal-%08d.log", n) }
@@ -239,37 +209,25 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// append writes the record and registers onDurable to run after the next
-// fsync covering it. onDurable may be nil (the caller will force a sync and
-// does not need a callback).
-func (l *wal) append(rec *Record, onDurable func(error)) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-
+// append writes one record payload as a frame and registers cb (if its fn
+// is set) to run after the next fsync covering it. written reports whether
+// the frame went into the log: a segment rotation that fails after the
+// write returns its error with written set, and cb never runs.
+func (l *wal) append(payload []byte, cb durableCb) (written bool, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	if err := writeFrame(l.w, payload); err != nil {
 		l.mu.Unlock()
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		l.mu.Unlock()
-		return err
+		return false, err
 	}
 	l.segSize += int64(frameHeaderSize + len(payload))
-	rotate := l.segSize >= l.opts.segmentBytes
-	if rotate {
+	if l.segSize >= l.opts.segmentBytes {
 		if err := l.openSegmentLocked(l.seg + 1); err != nil {
 			l.mu.Unlock()
-			return err
+			return true, err
 		}
 	}
 	// Eager wake: the first callback of a batch starts a group commit
@@ -278,15 +236,9 @@ func (l *wal) append(rec *Record, onDurable func(error)) error {
 	// syncMu, not mu) accumulates into the next batch, so the batch size
 	// self-tunes to the fsync latency and the timer only matters when the
 	// log is idle.
-	eager := onDurable != nil && len(l.pending) == 0
-	if onDurable != nil {
-		l.pending = append(l.pending, onDurable)
-	}
-	if l.opts.syncEvery {
-		cbs, err := l.syncLocked()
-		l.mu.Unlock()
-		runDurableCbs(cbs, err)
-		return err
+	eager := cb.fn != nil && len(l.pending) == 0
+	if cb.fn != nil {
+		l.pending = append(l.pending, cb)
 	}
 	full := len(l.pending) >= l.opts.batchSize
 	l.mu.Unlock()
@@ -296,7 +248,59 @@ func (l *wal) append(rec *Record, onDurable func(error)) error {
 		default:
 		}
 	}
-	return nil
+	return true, nil
+}
+
+// writeFrame writes payload as one len32|crc32 frame — the framing of WAL
+// segments and snapshot files alike.
+func writeFrame(w *bufio.Writer, payload []byte) error {
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// errTorn marks a frame cut short, with a garbage length or failing its
+// checksum: the end of a log's durable prefix, or a corrupt snapshot.
+var errTorn = errors.New("durability: torn or corrupt frame")
+
+// readFrame reads one frame into buf (reused across calls) and returns its
+// payload, valid until the next call. io.EOF means a clean end exactly at a
+// frame boundary; any other failure is errTorn.
+func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
+	var hdr [frameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, errTorn
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	if n > maxFrame {
+		return nil, errTorn
+	}
+	// Grow the buffer as bytes arrive, a megabyte at a time past its current
+	// capacity: a garbage length in a torn tail must not allocate up to
+	// maxFrame for bytes that are not there.
+	payload := (*buf)[:0]
+	for len(payload) < n {
+		step := min(n-len(payload), max(cap(payload)-len(payload), 1<<20))
+		payload = slices.Grow(payload, step)
+		k, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		payload = payload[:len(payload)+k]
+		if err != nil {
+			return nil, errTorn
+		}
+	}
+	*buf = payload
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errTorn
+	}
+	return payload, nil
 }
 
 // requestSync registers cb to run after the next fsync covering everything
@@ -304,11 +308,11 @@ func (l *wal) append(rec *Record, onDurable func(error)) error {
 // behind Manager.FlushAsync. Unlike sync it never waits for the fsync: a
 // flush request means "tell me when everything to date is durable", which
 // is exactly the coverage the pending-callback list already provides.
-func (l *wal) requestSync(cb func(error)) {
+func (l *wal) requestSync(cb durableCb) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		cb(ErrClosed)
+		cb.fn(cb.seq, ErrClosed)
 		return
 	}
 	l.pending = append(l.pending, cb)
@@ -338,7 +342,7 @@ func (l *wal) sync() error {
 // from fsync is what pipelines group commit: appenders retake mu while the
 // fsync — the slow half — runs, so batch N+1 accumulates during batch N's
 // fsync instead of queueing behind it.
-func (l *wal) flushDetachLocked() (cbs []func(error), f *os.File, gen uint64, err error) {
+func (l *wal) flushDetachLocked() (cbs []durableCb, f *os.File, gen uint64, err error) {
 	err = l.w.Flush()
 	cbs = l.pending
 	l.pending = nil
@@ -350,7 +354,7 @@ func (l *wal) flushDetachLocked() (cbs []func(error), f *os.File, gen uint64, er
 // (generation mismatch — rotation, close or crash), its retiring sync
 // already decided the fate of the flushed bytes, so the outcome of THAT
 // sync is delivered instead of fsyncing a closed handle.
-func (l *wal) fsyncDetached(cbs []func(error), f *os.File, gen uint64, err error) error {
+func (l *wal) fsyncDetached(cbs []durableCb, f *os.File, gen uint64, err error) error {
 	l.syncMu.Lock()
 	if err == nil {
 		if gen == l.fileGen {
@@ -369,7 +373,7 @@ func (l *wal) fsyncDetached(cbs []func(error), f *os.File, gen uint64, err error
 // run under the log's mutex: a replication feed's callback takes the feed's
 // own lock, which the feed may hold while appending here — running the
 // callback inline would deadlock.
-func (l *wal) syncLocked() ([]func(error), error) {
+func (l *wal) syncLocked() ([]durableCb, error) {
 	var err error
 	if ferr := l.w.Flush(); ferr != nil {
 		err = ferr
@@ -385,9 +389,9 @@ func (l *wal) syncLocked() ([]func(error), error) {
 }
 
 // runDurableCbs delivers a sync's outcome to its detached callbacks.
-func runDurableCbs(cbs []func(error), err error) {
+func runDurableCbs(cbs []durableCb, err error) {
 	for _, cb := range cbs {
-		cb(err)
+		cb.fn(cb.seq, err)
 	}
 }
 
@@ -467,7 +471,7 @@ func (l *wal) close() error {
 	}
 	l.closed = true
 	var err error
-	var cbs []func(error)
+	var cbs []durableCb
 	if !l.crashed {
 		cbs, err = l.syncLocked()
 		l.syncMu.Lock()
@@ -505,17 +509,17 @@ func (l *wal) crash() {
 	l.genErr = ErrClosed // un-fsynced flushed bytes are lost, like the buffer
 	l.syncMu.Unlock()
 	l.mu.Unlock()
-	for _, cb := range cbs {
-		cb(ErrClosed)
-	}
+	runDurableCbs(cbs, ErrClosed)
 	close(l.stop)
 	<-l.done
 }
 
 // replaySegments streams every intact record of the segments numbered ≥
-// fromSeg, in order, to fn. A corrupt or torn record ends the replay of the
-// whole log silently (torn tail semantics): nothing after it was
-// acknowledged, so nothing after it may be replayed either.
+// fromSeg, in order, to fn; the Record is reused once fn returns. A torn or
+// corrupt frame ends the replay of the whole log silently (torn tail
+// semantics): nothing after it was acknowledged, so nothing after it may be
+// replayed either. An intact frame that does not decode is an error — it
+// was written by something other than this codec.
 func replaySegments(dir string, fromSeg int, fn func(*Record) error) error {
 	segs, err := listNumbered(dir, "wal-", ".log")
 	if err != nil {
@@ -525,9 +529,15 @@ func replaySegments(dir string, fromSeg int, fn func(*Record) error) error {
 		if n < fromSeg {
 			continue
 		}
-		intact, err := replayOneSegment(filepath.Join(dir, segmentName(n)), fn)
+		path := filepath.Join(dir, segmentName(n))
+		f, err := os.Open(path)
 		if err != nil {
 			return err
+		}
+		intact, err := replayFrames(bufio.NewReaderSize(f, 1<<16), fn)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("durability: %s: %w", path, err)
 		}
 		if !intact {
 			return nil // torn tail: ignore any later segments too
@@ -536,37 +546,21 @@ func replaySegments(dir string, fromSeg int, fn func(*Record) error) error {
 	return nil
 }
 
-// replayOneSegment reads one segment, reporting whether it ended cleanly.
-func replayOneSegment(path string, fn func(*Record) error) (intact bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [frameHeaderSize]byte
+// replayFrames decodes one segment's frames, reporting whether it ended
+// cleanly at a frame boundary.
+func replayFrames(r *bufio.Reader, fn func(*Record) error) (intact bool, err error) {
+	var buf []byte
+	var rec Record
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return true, nil
-			}
-			return false, nil // torn header
+		payload, err := readFrame(r, &buf)
+		if err == io.EOF {
+			return true, nil
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > 1<<30 {
-			return false, nil // garbage length: treat as torn
+		if err != nil {
+			return false, nil
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return false, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return false, nil // corrupt record
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return false, fmt.Errorf("durability: undecodable record in %s: %w", path, err)
+		if err := rec.Decode(payload); err != nil {
+			return false, fmt.Errorf("undecodable record: %w", err)
 		}
 		if err := fn(&rec); err != nil {
 			return false, err

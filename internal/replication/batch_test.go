@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"pstore/internal/durability"
 	"pstore/internal/metrics"
 )
 
@@ -25,18 +27,18 @@ func TestBatchStreamDecodesIdentical(t *testing.T) {
 	lsn := uint64(0)
 	for i := 0; i < 200; i++ {
 		lsn++
-		var rec *Record
+		var rec *durability.Record
 		switch rng.Intn(3) {
 		case 0:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecTxn, Proc: "Put",
+			rec = &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindTxn, Proc: "Put",
 				Key: fmt.Sprintf("k%d", rng.Intn(50)), Args: map[string]string{"v": fmt.Sprintf("%d", i)}}
 		case 1:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "T",
+			rec = &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindPut, Tab: "T",
 				Key: fmt.Sprintf("k%d", rng.Intn(50)), Args: map[string]string{"v": fmt.Sprintf("%d", i)}}
 		default:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecBucketOut, Bucket: rng.Intn(64)}
+			rec = &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindBucketOut, Bucket: rng.Intn(64)}
 		}
-		f := encodeFrame(rec)
+		f, _ := encodeFrame(rec)
 		frames = append(frames, f)
 		p, rest, err := nextBatchRecord(f)
 		if err != nil || len(rest) != 0 {
@@ -113,7 +115,7 @@ func TestTornBatchEnvelopeFailsLoudly(t *testing.T) {
 	var frames [][]byte
 	nbytes := 0
 	for _, rec := range recs {
-		f := encodeFrame(rec)
+		f, _ := encodeFrame(rec)
 		frames = append(frames, f)
 		nbytes += len(f)
 	}
@@ -141,7 +143,7 @@ func TestTornBatchEnvelopeFailsLoudly(t *testing.T) {
 			decoded++
 		}
 		if len(inner) != 0 {
-			return decoded, errShipTrailing
+			return decoded, durability.ErrTrailing
 		}
 		return decoded, nil
 	}
@@ -158,19 +160,19 @@ func TestTornBatchEnvelopeFailsLoudly(t *testing.T) {
 	// payload[1] is the single-byte count varint (len(recs) < 128).
 	under := append([]byte(nil), payload...)
 	under[1] = byte(len(recs) - 1)
-	if _, err := decodeAll(under); !errors.Is(err, errShipTrailing) {
-		t.Errorf("understated count: %v, want errShipTrailing", err)
+	if _, err := decodeAll(under); !errors.Is(err, durability.ErrTrailing) {
+		t.Errorf("understated count: %v, want durability.ErrTrailing", err)
 	}
 	over := append([]byte(nil), payload...)
 	over[1] = byte(len(recs) + 1)
-	if _, err := decodeAll(over); !errors.Is(err, errShipTruncated) {
-		t.Errorf("overstated count: %v, want errShipTruncated", err)
+	if _, err := decodeAll(over); !errors.Is(err, durability.ErrTruncated) {
+		t.Errorf("overstated count: %v, want durability.ErrTruncated", err)
 	}
 	padded := append(append([]byte(nil), payload...), 0x00)
-	if _, err := decodeAll(padded); !errors.Is(err, errShipTrailing) {
-		t.Errorf("padded envelope: %v, want errShipTrailing", err)
+	if _, err := decodeAll(padded); !errors.Is(err, durability.ErrTrailing) {
+		t.Errorf("padded envelope: %v, want durability.ErrTrailing", err)
 	}
-	empty := appendUvarint([]byte{msgBatch}, 0)
+	empty := binary.AppendUvarint([]byte{msgBatch}, 0)
 	if _, _, err := splitBatch(empty); err == nil {
 		t.Error("empty batch envelope accepted")
 	}
@@ -249,4 +251,52 @@ func TestAckWindowBackpressure(t *testing.T) {
 	if err := f.Available(); err != nil {
 		t.Fatalf("drained window still unavailable: %v", err)
 	}
+}
+
+// FuzzShipBatch feeds arbitrary bytes to the batch-envelope decoder the tail
+// runs on every multi-record frame: splitting never panics, record payloads
+// inside are only ever decoded through the record codec, and an envelope
+// accepted whole (count and bytes consumed exactly) re-encodes to the same
+// bytes.
+func FuzzShipBatch(f *testing.F) {
+	var frames [][]byte
+	nbytes := 0
+	for _, rec := range sampleRecords() {
+		fr, _ := encodeFrame(rec)
+		frames = append(frames, fr)
+		nbytes += len(fr)
+	}
+	env := appendBatchEnvelope(nil, frames, nbytes)
+	payload, _, err := nextBatchRecord(env)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Add(payload[:len(payload)-2])
+	f.Add([]byte{msgBatch, 1, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		count, rest, err := splitBatch(payload)
+		if err != nil {
+			return
+		}
+		var inner [][]byte
+		n := 0
+		for i := uint64(0); i < count; i++ {
+			var rp []byte
+			before := rest
+			if rp, rest, err = nextBatchRecord(rest); err != nil {
+				return
+			}
+			decodeRecord(rp)
+			inner = append(inner, before[:len(before)-len(rest)])
+			n += len(before) - len(rest)
+		}
+		if len(rest) != 0 {
+			return
+		}
+		again, _, err := nextBatchRecord(appendBatchEnvelope(nil, inner, n))
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("accepted envelope re-encodes differently (%v):\n in  %x\n out %x", err, payload, again)
+		}
+	})
 }

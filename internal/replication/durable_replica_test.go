@@ -1,15 +1,18 @@
 package replication
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"pstore/internal/durability"
 	"pstore/internal/metrics"
+	"pstore/internal/storage"
 )
 
 func openDurableReplica(t *testing.T, rig *shipRig, dir string) *Replica {
@@ -110,18 +113,18 @@ func TestDurableReplicaApplyIdempotencyAndGaps(t *testing.T) {
 	rep := openDurableReplica(t, rig, dir)
 	defer rep.Kill()
 
-	rec := func(lsn, epoch uint64, key string) *Record {
-		return &Record{LSN: lsn, Epoch: epoch, Kind: RecTxn, Proc: "Put", Key: key,
+	rec := func(lsn, epoch uint64, key string) *durability.Record {
+		return &durability.Record{LSN: lsn, Epoch: epoch, Kind: durability.KindTxn, Proc: "Put", Key: key,
 			Args: map[string]string{"v": key}}
 	}
 	// The tail's protocol: snapshot Apply + LogRecord only on advance.
-	shipRec := func(r *Record) error {
+	shipRec := func(r *durability.Record) error {
 		applied := rep.Applied()
 		if err := rep.Apply(r); err != nil {
 			return err
 		}
 		if r.LSN > applied {
-			return rep.LogRecord(r)
+			return rep.LogRecord(r, durability.AppendRecord(nil, r))
 		}
 		return nil
 	}
@@ -182,12 +185,12 @@ func TestDurableReplicaAckIsDurableHorizon(t *testing.T) {
 	}
 	defer rep.Kill()
 
-	r := &Record{LSN: 1, Epoch: 1, Kind: RecTxn, Proc: "Put", Key: "k",
+	r := &durability.Record{LSN: 1, Epoch: 1, Kind: durability.KindTxn, Proc: "Put", Key: "k",
 		Args: map[string]string{"v": "1"}}
 	if err := rep.Apply(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.LogRecord(r); err != nil {
+	if err := rep.LogRecord(r, durability.AppendRecord(nil, r)); err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.AckLSN(); got != 0 {
@@ -207,5 +210,143 @@ func TestDurableReplicaAckIsDurableHorizon(t *testing.T) {
 	}
 	if got := mem.AckLSN(); got != 1 {
 		t.Fatalf("in-memory AckLSN = %d, want 1", got)
+	}
+}
+
+// TestPromoteHandsOffLogAtApplied: a durable standby whose log is one
+// record behind its applied horizon (the record was applied, its log write
+// was not made) hands off a log re-baselined at the applied LSN. The
+// promoted feed's first write is then the log's next seq: it is accepted,
+// acked and recovered along with everything the standby applied.
+func TestPromoteHandsOffLogAtApplied(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := OpenReplica(0, 16, "standby", testReg(), dir, durability.Options{}, Options{Seed: 1}, newTestEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &Snapshot{Tables: []string{"T"}, Epoch: 1}
+	for b := 0; b < 16; b++ {
+		snap.Buckets = append(snap.Buckets, &storage.BucketData{Bucket: b, Tables: map[string][]storage.Row{}})
+	}
+	if err := rep.InstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	r1 := txnRec(1, 1, "a")
+	if err := rep.Apply(r1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.LogRecord(r1, durability.AppendRecord(nil, r1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Apply(txnRec(2, 1, "b")); err != nil { // never logged
+		t.Fatal(err)
+	}
+
+	part, applied, epoch, mgr := rep.Promote()
+	if applied != 2 || mgr == nil {
+		t.Fatalf("Promote = (applied %d, manager %v), want (2, the standby's log)", applied, mgr)
+	}
+	if got := mgr.Seq(); got != applied {
+		t.Fatalf("handed-off log ends at seq %d, want the applied LSN %d", got, applied)
+	}
+	feed := NewFeed(0, mgr, epoch+1, applied, Options{Seed: 1}, newTestEvents())
+	done := make(chan error, 1)
+	feed.Append("Put", "c", map[string]string{"v": "c"}, func(_ uint64, err error) { done <- err })
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("first write of the promoted primary: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first write of the promoted primary never acked")
+	}
+	feed.Close()
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := part.Get("T", "b"); !ok {
+		t.Fatal("promoted partition lost the applied record")
+	}
+
+	m, err := durability.Open(dir, 0, durability.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	p := storage.NewPartition(0, 16, nil)
+	if _, err := m.Recover(p, testReg()); err != nil {
+		t.Fatal(err)
+	}
+	if m.Seq() != 3 {
+		t.Fatalf("recovered seq %d, want 3", m.Seq())
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if _, ok, _ := p.Get("T", k); !ok {
+			t.Fatalf("recovery lost row %q", k)
+		}
+	}
+}
+
+// TestDurableTailAcksRecordBehindHeartbeat: when a heartbeat arrives in the
+// same read as the last record, it is the heartbeat that drains the read
+// buffer — the tail must still flush and ack the record then, not leave it
+// unsynced (and the primary's write unacked) until more traffic comes.
+func TestDurableTailAcksRecordBehindHeartbeat(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	opts := Options{Seed: 1}
+	// An hour-long group-commit interval: only the tail's own flush request
+	// can make the record durable.
+	rep, err := OpenReplica(0, 16, "standby", testReg(), t.TempDir(),
+		durability.Options{GroupCommitInterval: time.Hour}, opts, newTestEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := StartTail(ln.Addr().String(), rep, nil, opts, newTestEvents())
+	defer func() {
+		rep.Kill()
+		tail.Stop()
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	var buf []byte
+	readAck := func() (uint64, error) {
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		payload, err := readShipFrame(br, &buf)
+		if err != nil {
+			return 0, err
+		}
+		return decodeAck(payload)
+	}
+	if _, err := readShipFrame(br, &buf); err != nil { // subscribe
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(encodeHello(&Attachment{Epoch: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := readAck(); err != nil || lsn != 0 {
+		t.Fatalf("initial ack = %d, %v; want 0", lsn, err)
+	}
+	frame, _ := encodeFrame(&durability.Record{LSN: 1, Epoch: 1, Kind: durability.KindTxn, Proc: "Put", Key: "k",
+		Args: map[string]string{"v": "1"}})
+	if _, err := conn.Write(append(frame, encodeHeartbeat()...)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		lsn, err := readAck()
+		if err != nil {
+			t.Fatalf("record 1 never acked: %v (durable horizon %d)", err, rep.AckLSN())
+		}
+		if lsn >= 1 {
+			return
+		}
 	}
 }

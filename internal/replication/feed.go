@@ -40,14 +40,17 @@ type SnapshotFunc func() (*Snapshot, error)
 // exactly how split-brain loses acked writes.
 //
 // Lock order: appendMu > mu > inner's locks. appendMu serializes LSN
-// assignment with the inner manager's sequence counter so LSN == seq always
-// holds; mu guards feed state and is never held across an inner call or a
-// caller-visible callback.
+// assignment with the inner manager's log, which checks each LSN is its
+// next seq; mu guards feed state and is never held across an inner call or
+// a caller-visible callback.
 type Feed struct {
 	part   int
 	inner  *durability.Manager // may be nil: in-memory cluster
 	opts   Options
 	events *metrics.Events
+	// onLocal is localDurable bound once, so registering it as every
+	// record's group-commit callback allocates nothing.
+	onLocal func(uint64, error)
 
 	appendMu sync.Mutex
 
@@ -139,7 +142,7 @@ func NewFeed(part int, inner *durability.Manager, epoch, startLSN uint64, opts O
 		epoch = 1
 	}
 	opts = opts.Normalized()
-	return &Feed{
+	f := &Feed{
 		part:     part,
 		inner:    inner,
 		opts:     opts,
@@ -150,6 +153,8 @@ func NewFeed(part int, inner *durability.Manager, epoch, startLSN uint64, opts O
 		subs:     make(map[*Subscriber]struct{}),
 		required: opts.RequiredSubscribers,
 	}
+	f.onLocal = f.localDurable
+	return f
 }
 
 // Partition returns the feed's partition ID.
@@ -206,121 +211,77 @@ func (f *Feed) SetSnapshotFunc(fn SnapshotFunc) {
 
 // Append implements engine.CommandLog: it ships the committed command to
 // subscribers and defers onDurable until the record is locally durable and
-// replica-acked.
+// replica-acked. The command is encoded before Append returns: args aliases
+// a pooled map the engine reuses after the ack.
 func (f *Feed) Append(proc, key string, args map[string]string, onDurable func(uint64, error)) {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
-		f.appendMu.Unlock()
+	if shipped, err := f.log(&durability.Record{Kind: durability.KindTxn, Proc: proc, Key: key, Args: args}, onDurable, false); !shipped {
 		f.events.Add(metrics.EventReplFencedWrites, 1)
 		if onDurable != nil {
 			onDurable(0, err)
 		}
-		return
 	}
-	f.lsn++
-	lsn := f.lsn
-	// Encode immediately: args aliases a pooled map the engine reuses after
-	// the ack, so the feed must not retain it.
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecTxn, Proc: proc, Key: key, Args: args})
-	f.publishLocked(lsn, frame)
-	if onDurable != nil {
-		var start time.Time
-		if f.events != nil {
-			start = time.Now() //pstore:ignore seeddiscipline — ack-latency observability, not a decision path
-		}
-		f.win.push(waiter{lsn: lsn, fn: onDurable, start: start})
-		f.events.Observe(metrics.HistReplAckWindow, int64(f.win.n))
-	}
-	f.mu.Unlock()
-
-	if f.inner != nil {
-		// Still under appendMu: the inner manager assigns seq == lsn.
-		f.inner.Append(proc, key, args, func(_ uint64, err error) { f.localDurable(lsn, err) })
-		f.appendMu.Unlock()
-		return
-	}
-	f.appendMu.Unlock()
-	f.localDurable(lsn, nil)
 }
 
 // LogPut ships a direct row load (cluster.LoadRow). Asynchronous: bulk
 // preloads must not block on per-row replica acks; ordering alone keeps
 // replicas consistent.
 func (f *Feed) LogPut(table, key string, cols map[string]string) error {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
-		f.appendMu.Unlock()
-		return err
-	}
-	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecPut, Tab: table, Key: key, Args: cols})
-	f.publishLocked(lsn, frame)
-	f.mu.Unlock()
-	var err error
-	if f.inner != nil {
-		_, err = f.inner.AppendPut(table, key, cols)
-	}
-	f.appendMu.Unlock()
-	if f.inner == nil {
-		f.localDurable(lsn, nil)
-	}
+	_, err := f.log(&durability.Record{Kind: durability.KindPut, Tab: table, Key: key, Args: cols}, nil, false)
 	return err
 }
 
-// LogBucketIn ships a migration bucket handoff (receive side), chaining to
-// the durability manager's synchronous bucket-in record.
+// LogBucketIn ships a migration bucket handoff (receive side), logging it
+// synchronously like the durability manager's own bucket-in record.
 func (f *Feed) LogBucketIn(data *storage.BucketData) error {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
-		f.appendMu.Unlock()
-		return err
-	}
-	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecBucketIn, Bucket: data.Bucket, Data: data})
-	f.publishLocked(lsn, frame)
-	f.mu.Unlock()
-	var err error
-	if f.inner != nil {
-		err = f.inner.LogBucketIn(data)
-	}
-	f.appendMu.Unlock()
-	if f.inner == nil {
-		f.localDurable(lsn, nil)
-	}
+	_, err := f.log(&durability.Record{Kind: durability.KindBucketIn, Bucket: data.Bucket, Data: data}, nil, true)
 	return err
 }
 
 // LogBucketOut ships a migration bucket handoff (send side).
 func (f *Feed) LogBucketOut(bucket int) error {
+	_, err := f.log(&durability.Record{Kind: durability.KindBucketOut, Bucket: bucket}, nil, true)
+	return err
+}
+
+// log stamps rec with the next LSN and the feed's epoch, encodes it once,
+// publishes the frame and hands the same payload to the inner manager —
+// fsynced before return when sync is set. onDurable, if set, waits in the
+// ack window, where a local log failure also fails it. shipped is false
+// when the feed refused the record outright.
+func (f *Feed) log(rec *durability.Record, onDurable func(uint64, error), sync bool) (shipped bool, err error) {
 	f.appendMu.Lock()
 	f.mu.Lock()
 	if err := f.unusableLocked(); err != nil {
 		f.mu.Unlock()
 		f.appendMu.Unlock()
-		return err
+		return false, err
 	}
 	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecBucketOut, Bucket: bucket})
-	f.publishLocked(lsn, frame)
+	rec.LSN, rec.Epoch = f.lsn, f.epoch
+	frame, payload := encodeFrame(rec)
+	f.publishLocked(frame)
+	var onLocal func(uint64, error) // only a waited-on record needs its group commit reported
+	if onDurable != nil {
+		onLocal = f.onLocal
+		var start time.Time
+		if f.events != nil {
+			start = time.Now() //pstore:ignore seeddiscipline — ack-latency observability, not a decision path
+		}
+		f.win.push(waiter{lsn: rec.LSN, fn: onDurable, start: start})
+		f.events.Observe(metrics.HistReplAckWindow, int64(f.win.n))
+	}
 	f.mu.Unlock()
-	var err error
 	if f.inner != nil {
-		err = f.inner.LogBucketOut(bucket)
+		// Still under appendMu: the inner manager's next seq is this LSN.
+		if err = f.inner.Log(payload, onLocal); err == nil && sync {
+			err = f.inner.Flush()
+		}
 	}
 	f.appendMu.Unlock()
-	if f.inner == nil {
-		f.localDurable(lsn, nil)
+	if f.inner == nil || err != nil {
+		f.localDurable(rec.LSN, err)
 	}
-	return err
+	return true, err
 }
 
 func (f *Feed) unusableLocked() error {
@@ -416,7 +377,7 @@ func (f *Feed) Armed() bool {
 // publishLocked adds the encoded frame to the retained tail and every
 // subscriber queue. A subscriber whose queue is full cannot keep up within
 // the retained window and is deposed — it will resync.
-func (f *Feed) publishLocked(lsn uint64, frame []byte) {
+func (f *Feed) publishLocked(frame []byte) {
 	f.buf = append(f.buf, frame)
 	if len(f.buf) >= 2*f.opts.MaxBuffer {
 		// Amortized trim: compacting on every append once the window is
@@ -440,7 +401,6 @@ func (f *Feed) publishLocked(lsn uint64, frame []byte) {
 			f.deposeLocked(s)
 		}
 	}
-	_ = lsn
 }
 
 // localDurable marks lsn locally durable and completes any waiters whose
@@ -775,20 +735,20 @@ func (f *Feed) attachLocked(fromLSN uint64) *Attachment {
 	return &Attachment{Sub: s, Epoch: f.epoch, StartLSN: fromLSN, Catchup: catchup}
 }
 
-// diskCatchup re-encodes durable records after fromLSN as ship frames.
+// diskCatchup re-ships durable records after fromLSN. Committed history is
+// re-stamped with the feed's current epoch: a replica that has seen this
+// epoch fences anything older.
 func (f *Feed) diskCatchup(fromLSN uint64) (frames [][]byte, last uint64, err error) {
 	last = fromLSN
 	epoch := f.Epoch()
 	err = f.inner.ReadFrom(fromLSN, func(rec *durability.Record) error {
-		srec, cerr := fromDurable(rec, epoch)
-		if cerr != nil {
-			return cerr
+		if rec.LSN != last+1 {
+			return fmt.Errorf("replication: disk catch-up gap: have %d, next record %d", last, rec.LSN)
 		}
-		if srec.LSN != last+1 {
-			return fmt.Errorf("replication: disk catch-up gap: have %d, next record %d", last, srec.LSN)
-		}
-		frames = append(frames, appendRecord(nil, srec))
-		last = srec.LSN
+		rec.Epoch = epoch
+		frame, _ := encodeFrame(rec)
+		frames = append(frames, frame)
+		last = rec.LSN
 		return nil
 	})
 	if err != nil {

@@ -2,11 +2,13 @@ package replication
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"pstore/internal/durability"
 	"pstore/internal/metrics"
 	"pstore/internal/storage"
 )
@@ -400,54 +402,41 @@ func writeErrorFrame(conn net.Conn, bw *bufio.Writer, msg string, timeout time.D
 // ---- ship-stream message encoding ----
 
 func frame(payload []byte) []byte {
-	out := appendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
+	out := binary.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
 	return append(out, payload...)
 }
 
 func encodeSubscribe(part int, fromLSN, fromEpoch uint64) []byte {
 	p := []byte{msgSubscribe}
-	p = appendUvarint(p, uint64(part))
-	p = appendUvarint(p, fromLSN)
-	p = appendUvarint(p, fromEpoch)
+	p = binary.AppendUvarint(p, uint64(part))
+	p = binary.AppendUvarint(p, fromLSN)
+	p = binary.AppendUvarint(p, fromEpoch)
 	return frame(p)
 }
 
 func decodeSubscribe(payload []byte) (part int, fromLSN, fromEpoch uint64, err error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
-	if err != nil {
+	d := durability.NewDecoder(payload)
+	if err := expectKind(&d, msgSubscribe, "subscribe"); err != nil {
 		return 0, 0, 0, err
 	}
-	if kind != msgSubscribe {
-		return 0, 0, 0, fmt.Errorf("replication: expected subscribe, got message kind %d", kind)
-	}
-	pv, err := r.uvarint()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if fromLSN, err = r.uvarint(); err != nil {
-		return 0, 0, 0, err
-	}
-	if fromEpoch, err = r.uvarint(); err != nil {
-		return 0, 0, 0, err
-	}
-	return int(pv), fromLSN, fromEpoch, r.done()
+	part, fromLSN, fromEpoch = int(d.Uvarint()), d.Uvarint(), d.Uvarint()
+	return part, fromLSN, fromEpoch, d.Done()
 }
 
 func encodeHello(att *Attachment) []byte {
 	p := []byte{msgHello}
-	p = appendUvarint(p, att.Epoch)
-	p = appendUvarint(p, att.StartLSN)
+	p = binary.AppendUvarint(p, att.Epoch)
+	p = binary.AppendUvarint(p, att.StartLSN)
 	if att.Snapshot == nil {
 		p = append(p, 0)
 		return frame(p)
 	}
 	p = append(p, 1)
-	p = appendUvarint(p, uint64(len(att.Snapshot.Tables)))
+	p = binary.AppendUvarint(p, uint64(len(att.Snapshot.Tables)))
 	for _, t := range att.Snapshot.Tables {
-		p = appendString(p, t)
+		p = durability.AppendString(p, t)
 	}
-	p = appendUvarint(p, uint64(len(att.Snapshot.Buckets)))
+	p = binary.AppendUvarint(p, uint64(len(att.Snapshot.Buckets)))
 	return frame(p)
 }
 
@@ -461,89 +450,51 @@ type helloMsg struct {
 }
 
 func decodeHello(payload []byte) (*helloMsg, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if kind == msgError {
-		msg, merr := r.string()
-		if merr != nil {
-			return nil, merr
+	d := durability.NewDecoder(payload)
+	if kind := d.Byte(); kind == msgError {
+		if msg := d.Str(); d.Err() == nil {
+			return nil, fmt.Errorf("replication: hub refused subscription: %s", msg)
 		}
-		return nil, fmt.Errorf("replication: hub refused subscription: %s", msg)
-	}
-	if kind != msgHello {
+		return nil, d.Err()
+	} else if d.Err() == nil && kind != msgHello {
 		return nil, fmt.Errorf("replication: expected hello, got message kind %d", kind)
 	}
-	h := &helloMsg{}
-	if h.Epoch, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if h.StartLSN, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	snap, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if snap == 0 {
-		return h, r.done()
-	}
-	h.Snapshot = true
-	nt, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nt > uint64(len(r.data)) {
-		return nil, errShipTruncated
-	}
-	for i := uint64(0); i < nt; i++ {
-		t, err := r.string()
-		if err != nil {
-			return nil, err
+	h := &helloMsg{Epoch: d.Uvarint(), StartLSN: d.Uvarint(), Snapshot: d.Byte() != 0}
+	if h.Snapshot {
+		// Each table name takes at least a byte: a corrupt count ends the
+		// loop at the payload's end.
+		for i, nt := uint64(0), d.Uvarint(); i < nt && d.Err() == nil; i++ {
+			h.Tables = append(h.Tables, d.Str())
 		}
-		h.Tables = append(h.Tables, t)
+		h.NBuckets = int(d.Uvarint())
 	}
-	nb, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	h.NBuckets = int(nb)
-	return h, r.done()
+	return h, d.Done()
 }
 
 func encodeBucketFrame(b *storage.BucketData) []byte {
 	p := []byte{msgBucket}
-	p = appendBucketData(p, b)
+	p = durability.AppendBucketData(p, b)
 	return frame(p)
 }
 
 func decodeBucketFrame(payload []byte) (*storage.BucketData, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
-	if err != nil {
+	d := durability.NewDecoder(payload)
+	if err := expectKind(&d, msgBucket, "snapshot bucket"); err != nil {
 		return nil, err
 	}
-	if kind != msgBucket {
-		return nil, fmt.Errorf("replication: expected snapshot bucket, got message kind %d", kind)
-	}
-	d, err := r.bucketData()
-	if err != nil {
-		return nil, err
-	}
-	return d, r.done()
+	b := d.BucketData()
+	return b, d.Done()
 }
 
 func encodeErrorFrame(msg string) []byte {
 	p := []byte{msgError}
-	p = appendString(p, msg)
+	p = durability.AppendString(p, msg)
 	return frame(p)
 }
 
 func encodeAck(lsn uint64) []byte {
 	p := []byte{msgAck}
-	p = appendUvarint(p, lsn)
+	p = binary.AppendUvarint(p, lsn)
 	return frame(p)
 }
 
@@ -558,17 +509,10 @@ func isHeartbeat(payload []byte) bool {
 }
 
 func decodeAck(payload []byte) (uint64, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
-	if err != nil {
+	d := durability.NewDecoder(payload)
+	if err := expectKind(&d, msgAck, "ack"); err != nil {
 		return 0, err
 	}
-	if kind != msgAck {
-		return 0, fmt.Errorf("replication: expected ack, got message kind %d", kind)
-	}
-	lsn, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return lsn, r.done()
+	lsn := d.Uvarint()
+	return lsn, d.Done()
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,16 +11,17 @@ import (
 	"reflect"
 	"testing"
 
+	"pstore/internal/durability"
 	"pstore/internal/storage"
 )
 
-func sampleRecords() []*Record {
-	return []*Record{
-		{LSN: 1, Epoch: 1, Kind: RecTxn, Proc: "Put", Key: "k1", Args: map[string]string{"v": "1", "w": "2"}},
-		{LSN: 2, Epoch: 1, Kind: RecTxn, Proc: "Delete", Key: "k2"},
-		{LSN: 3, Epoch: 2, Kind: RecPut, Tab: "T", Key: "k3", Args: map[string]string{"v": "x"}},
-		{LSN: 4, Epoch: 2, Kind: RecBucketOut, Bucket: 17},
-		{LSN: 5, Epoch: 3, Kind: RecBucketIn, Bucket: 4, Data: &storage.BucketData{
+func sampleRecords() []*durability.Record {
+	return []*durability.Record{
+		{LSN: 1, Epoch: 1, Kind: durability.KindTxn, Proc: "Put", Key: "k1", Args: map[string]string{"v": "1", "w": "2"}},
+		{LSN: 2, Epoch: 1, Kind: durability.KindTxn, Proc: "Delete", Key: "k2"},
+		{LSN: 3, Epoch: 2, Kind: durability.KindPut, Tab: "T", Key: "k3", Args: map[string]string{"v": "x"}},
+		{LSN: 4, Epoch: 2, Kind: durability.KindBucketOut, Bucket: 17},
+		{LSN: 5, Epoch: 3, Kind: durability.KindBucketIn, Bucket: 4, Data: &storage.BucketData{
 			Bucket: 4,
 			Tables: map[string][]storage.Row{
 				"T": {
@@ -30,6 +32,18 @@ func sampleRecords() []*Record {
 			},
 		}},
 	}
+}
+
+// decodeRecord decodes one record payload into a new Record.
+func decodeRecord(payload []byte) (*durability.Record, error) {
+	rec := new(durability.Record)
+	return rec, rec.Decode(payload)
+}
+
+// appendRecord appends rec as one ship frame.
+func appendRecord(buf []byte, rec *durability.Record) []byte {
+	frame, _ := encodeFrame(rec)
+	return append(buf, frame...)
 }
 
 func TestRecordCodecRoundTrip(t *testing.T) {
@@ -50,12 +64,12 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		// Empty maps decode as nil; normalize before comparing.
-		if want.Kind == RecBucketIn {
+		if want.Kind == durability.KindBucketIn {
 			if got.Bucket != want.Bucket || got.Data == nil {
 				t.Fatalf("record %d: bucket mismatch", i)
 			}
-			ge := appendBucketData(nil, got.Data)
-			we := appendBucketData(nil, want.Data)
+			ge := durability.AppendBucketData(nil, got.Data)
+			we := durability.AppendBucketData(nil, want.Data)
 			if !bytes.Equal(ge, we) {
 				t.Fatalf("record %d: bucket data differs after round trip", i)
 			}
@@ -83,7 +97,7 @@ func TestRecordCodecDeterministicEncoding(t *testing.T) {
 		for k, v := range rec.Args {
 			args[k] = v
 		}
-		again := appendRecord(nil, &Record{LSN: rec.LSN, Epoch: rec.Epoch, Kind: rec.Kind, Proc: rec.Proc, Key: rec.Key, Args: args})
+		again := appendRecord(nil, &durability.Record{LSN: rec.LSN, Epoch: rec.Epoch, Kind: rec.Kind, Proc: rec.Proc, Key: rec.Key, Args: args})
 		if !bytes.Equal(want, again) {
 			t.Fatalf("iteration %d: encoding differs for identical record", i)
 		}
@@ -138,8 +152,8 @@ func TestCorruptPayloadRejected(t *testing.T) {
 	}
 
 	trailing := append(append([]byte(nil), payload...), 0xFF)
-	if _, err := decodeRecord(trailing); !errors.Is(err, errShipTrailing) {
-		t.Errorf("trailing byte: %v, want errShipTrailing", err)
+	if _, err := decodeRecord(trailing); !errors.Is(err, durability.ErrTrailing) {
+		t.Errorf("trailing byte: %v, want durability.ErrTrailing", err)
 	}
 	for cut := 1; cut < len(payload); cut++ {
 		if _, err := decodeRecord(payload[:cut]); err == nil {
@@ -150,7 +164,7 @@ func TestCorruptPayloadRejected(t *testing.T) {
 		t.Error("unknown record kind decoded without error")
 	}
 
-	huge := appendUvarint(nil, maxShipFrame+1)
+	huge := binary.AppendUvarint(nil, maxShipFrame+1)
 	if _, err := readShipFrame(bufio.NewReader(bytes.NewReader(huge)), &buf); !errors.Is(err, errShipTooLarge) {
 		t.Errorf("oversized frame: %v, want errShipTooLarge", err)
 	}
@@ -162,13 +176,13 @@ func TestCorruptPayloadRejected(t *testing.T) {
 func TestDeterministicReplayProperty(t *testing.T) {
 	const nBuckets = 16
 	rng := rand.New(rand.NewSource(7))
-	recs := make([]*Record, 0, 400)
+	recs := make([]*durability.Record, 0, 400)
 	lsn := uint64(0)
 	// Seed ownership of every bucket, then a shuffled mix of puts, txns
 	// and bucket handoffs.
 	for b := 0; b < nBuckets; b++ {
 		lsn++
-		recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketIn, Bucket: b,
+		recs = append(recs, &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindBucketIn, Bucket: b,
 			Data: &storage.BucketData{Bucket: b, Tables: map[string][]storage.Row{}}})
 	}
 	for i := 0; i < 300; i++ {
@@ -176,19 +190,19 @@ func TestDeterministicReplayProperty(t *testing.T) {
 		key := fmt.Sprintf("key-%d", rng.Intn(120))
 		switch rng.Intn(4) {
 		case 0:
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "T", Key: key,
+			recs = append(recs, &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindPut, Tab: "T", Key: key,
 				Args: map[string]string{"v": fmt.Sprintf("%d", i), "r": fmt.Sprintf("%d", rng.Intn(10))}})
 		case 1:
 			b := rng.Intn(nBuckets)
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketOut, Bucket: b})
+			recs = append(recs, &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindBucketOut, Bucket: b})
 		case 2:
 			b := rng.Intn(nBuckets)
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketIn, Bucket: b,
+			recs = append(recs, &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindBucketIn, Bucket: b,
 				Data: &storage.BucketData{Bucket: b, Tables: map[string][]storage.Row{
 					"T": {{Key: key, Cols: map[string]string{"v": "seeded"}}},
 				}}})
 		default:
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "U", Key: key,
+			recs = append(recs, &durability.Record{LSN: lsn, Epoch: 1, Kind: durability.KindPut, Tab: "U", Key: key,
 				Args: map[string]string{"n": fmt.Sprintf("%d", i)}})
 		}
 	}
@@ -214,7 +228,7 @@ func TestDeterministicReplayProperty(t *testing.T) {
 
 // cloneRecord deep-copies a record so one replay cannot alias state into
 // the other through shared maps.
-func cloneRecord(rec *Record) *Record {
+func cloneRecord(rec *durability.Record) *durability.Record {
 	out := *rec
 	if rec.Args != nil {
 		out.Args = make(map[string]string, len(rec.Args))
@@ -250,7 +264,7 @@ func encodeReplica(r *Replica) []byte {
 			if err != nil {
 				panic(err)
 			}
-			out = appendBucketData(out, d)
+			out = durability.AppendBucketData(out, d)
 		}
 	})
 	return out

@@ -41,7 +41,8 @@ type Replica struct {
 	epoch   uint64
 	serving bool
 	seeded  bool
-	notify  chan struct{} // closed and replaced on every apply
+	notify  chan struct{} // closed and replaced on the first apply after a waiter took it
+	watched bool          // a waiter holds notify
 
 	mgr            *durability.Manager // optional: the replica's own command log
 	dir            string
@@ -257,7 +258,7 @@ func (r *Replica) InstallSnapshot(snap *Snapshot) error {
 // forces the caller to resync.
 //
 //pstore:executor
-func (r *Replica) Apply(rec *Record) error {
+func (r *Replica) Apply(rec *durability.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.serving {
@@ -284,25 +285,25 @@ func (r *Replica) Apply(rec *Record) error {
 	return nil
 }
 
-func (r *Replica) applyLocked(rec *Record) error {
+func (r *Replica) applyLocked(rec *durability.Record) error {
 	switch rec.Kind {
-	case RecTxn:
+	case durability.KindTxn:
 		if !r.p.OwnsKey(rec.Key) {
 			return nil // logged just before the bucket left this partition
 		}
 		return engine.ReplayTxn(r.reg, r.p, rec.Proc, rec.Key, rec.Args)
-	case RecPut:
+	case durability.KindPut:
 		if !r.p.OwnsKey(rec.Key) {
 			return nil
 		}
 		r.p.CreateTable(rec.Tab)
 		return r.p.Put(rec.Tab, rec.Key, rec.Args)
-	case RecBucketOut:
+	case durability.KindBucketOut:
 		if !r.p.Owns(rec.Bucket) {
 			return nil
 		}
 		return r.p.DropBucket(rec.Bucket)
-	case RecBucketIn:
+	case durability.KindBucketIn:
 		// Replace-then-apply keeps the record idempotent against a stale
 		// copy left by an earlier seeding race.
 		if r.p.Owns(rec.Bucket) {
@@ -316,69 +317,49 @@ func (r *Replica) applyLocked(rec *Record) error {
 	}
 }
 
+// wakeLocked releases WaitApplied callers. With none parked since the last
+// wake the channel is left alone, so the apply loop allocates nothing.
 func (r *Replica) wakeLocked() {
-	close(r.notify)
-	r.notify = make(chan struct{})
+	if r.watched {
+		close(r.notify)
+		r.notify = make(chan struct{})
+		r.watched = false
+	}
 }
 
 // LogRecord appends one freshly applied record to the replica's own
-// command log. The tail calls it after a successful, advancing Apply
-// (never for duplicate-skips, which are already in the log) — keeping the
-// blocking bucket-record fsyncs off the Apply path, which pstore-vet holds
-// to the executor never-block rule. Log seq stays aligned with the
-// replica's applied LSN; bucket records fsync synchronously exactly as
-// they do on a primary.
-func (r *Replica) LogRecord(rec *Record) error {
+// command log. payload is the record's encoding as received, so a standby's
+// log holds its primary's bytes for every LSN both hold. The tail calls it
+// after a successful, advancing Apply (never for duplicate-skips, already
+// logged) — keeping the blocking bucket-record fsyncs off the Apply path,
+// which pstore-vet holds to the executor never-block rule. Bucket records
+// fsync synchronously as on a primary; the rest become durable, and
+// ackable, through the tail's drain-boundary SyncAsync.
+func (r *Replica) LogRecord(rec *durability.Record, payload []byte) error {
 	r.mu.Lock()
-	mgr := r.mgr
+	mgr, dir, persisted := r.mgr, r.dir, r.persistedEpoch
 	r.mu.Unlock()
 	if mgr == nil {
 		return nil
 	}
-	var err error
-	switch rec.Kind {
-	case RecTxn:
-		mgr.Append(rec.Proc, rec.Key, rec.Args, func(lsn uint64, aerr error) {
-			if aerr == nil {
-				r.advanceDurable(lsn)
-			}
-		})
-	case RecPut:
-		_, err = mgr.AppendPut(rec.Tab, rec.Key, rec.Args)
-	case RecBucketOut:
-		if err = mgr.LogBucketOut(rec.Bucket); err == nil {
-			r.advanceDurable(rec.LSN)
-		}
-	case RecBucketIn:
-		if err = mgr.LogBucketIn(rec.Data); err == nil {
-			r.advanceDurable(rec.LSN)
-		}
-	default:
-		err = fmt.Errorf("replication: unknown record kind %d", rec.Kind)
-	}
-	if err != nil {
+	if err := mgr.Log(payload, nil); err != nil {
 		return err
 	}
-	if rec.Epoch > r.persistedEpochSnapshot() {
-		r.mu.Lock()
-		dir, epoch := r.dir, rec.Epoch
-		r.mu.Unlock()
-		if werr := writeEpochFile(dir, epoch); werr != nil {
-			return werr
+	if rec.Kind == durability.KindBucketIn || rec.Kind == durability.KindBucketOut {
+		if err := mgr.Flush(); err != nil {
+			return err
+		}
+		r.advanceDurable(rec.LSN)
+	}
+	if rec.Epoch > persisted {
+		if err := writeEpochFile(dir, rec.Epoch); err != nil {
+			return err
 		}
 		r.mu.Lock()
-		if epoch > r.persistedEpoch {
-			r.persistedEpoch = epoch
-		}
+		r.persistedEpoch = max(r.persistedEpoch, rec.Epoch)
 		r.mu.Unlock()
 	}
 	return nil
-}
-
-func (r *Replica) persistedEpochSnapshot() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.persistedEpoch
 }
 
 func (r *Replica) advanceDurable(lsn uint64) {
@@ -418,17 +399,18 @@ func (r *Replica) Sync() error {
 // replica cb runs synchronously on the caller.
 func (r *Replica) SyncAsync(cb func(error)) {
 	r.mu.Lock()
-	mgr, applied := r.mgr, r.applied
+	mgr := r.mgr
 	r.mu.Unlock()
 	if mgr == nil {
 		cb(nil)
 		return
 	}
 	// Everything applied was also appended to the log (LogRecord runs on
-	// the same goroutine as Apply), so the flush covers `applied`.
-	mgr.FlushAsync(func(err error) {
+	// the same goroutine as Apply), so the flush covers the applied LSN —
+	// the seq it reports.
+	mgr.FlushAsync(func(seq uint64, err error) {
 		if err == nil {
-			r.advanceDurable(applied)
+			r.advanceDurable(seq)
 		}
 		cb(err)
 	})
@@ -455,6 +437,7 @@ func (r *Replica) WaitApplied(min uint64, timeout time.Duration) error {
 			return nil
 		}
 		ch := r.notify
+		r.watched = true
 		r.mu.Unlock()
 		select {
 		case <-ch:
@@ -516,17 +499,30 @@ func (r *Replica) readLocked(proc, key string, args map[string]string) (map[stri
 // and — for a durable replica — its command-log manager, whose ownership
 // transfers to the caller: the promoted primary continues the same log in
 // the same directory, which is what makes an immediate second fault
-// recoverable.
+// recoverable. The handed-off log always ends at the applied LSN, so the
+// promoted feed's first write is its next seq. Stop the replica's tail
+// first: a record applied but not yet logged is then only a failed log
+// write, never one in flight.
 func (r *Replica) Promote() (*storage.Partition, uint64, uint64, *durability.Manager) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.serving = false
 	r.wakeLocked()
 	p := r.p
 	r.p = storage.NewPartition(r.part, r.nBuckets, nil)
-	mgr := r.mgr
+	mgr, applied, epoch := r.mgr, r.applied, r.epoch
 	r.mgr = nil
-	return p, r.applied, r.epoch, mgr
+	r.mu.Unlock()
+	if mgr != nil && mgr.Seq() != applied {
+		// The log missed a record the replica applied: re-baseline it at
+		// the applied cut. Outside r.mu — the snapshot's rotation runs
+		// durable callbacks, and those take it.
+		mgr.SetBaseSeq(applied)
+		if err := mgr.Snapshot(p); err != nil {
+			mgr.Crash()
+			mgr = nil
+		}
+	}
+	return p, applied, epoch, mgr
 }
 
 // Kill stops the replica serving (its host node died). Waiters unblock

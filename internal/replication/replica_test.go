@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pstore/internal/durability"
 	"pstore/internal/storage"
 )
 
@@ -22,8 +23,8 @@ func seededReplica(t *testing.T, nBuckets int) *Replica {
 	return r
 }
 
-func txnRec(lsn, epoch uint64, key string) *Record {
-	return &Record{LSN: lsn, Epoch: epoch, Kind: RecTxn, Proc: "Put", Key: key, Args: map[string]string{"v": key}}
+func txnRec(lsn, epoch uint64, key string) *durability.Record {
+	return &durability.Record{LSN: lsn, Epoch: epoch, Kind: durability.KindTxn, Proc: "Put", Key: key, Args: map[string]string{"v": key}}
 }
 
 func TestReplicaApplyIdempotentAndGapDetecting(t *testing.T) {
@@ -66,7 +67,7 @@ func TestReplicaSeededFlag(t *testing.T) {
 	if r.Seeded() {
 		t.Fatal("fresh replica reports seeded")
 	}
-	if err := r.Apply(&Record{LSN: 1, Epoch: 1, Kind: RecBucketIn, Bucket: 0,
+	if err := r.Apply(&durability.Record{LSN: 1, Epoch: 1, Kind: durability.KindBucketIn, Bucket: 0,
 		Data: &storage.BucketData{Bucket: 0, Tables: map[string][]storage.Row{}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pstore/internal/durability"
 	"pstore/internal/engine"
 	"pstore/internal/storage"
 )
@@ -87,7 +88,7 @@ func (rig *shipRig) encodePrimary() []byte {
 		if err != nil {
 			rig.t.Fatal(err)
 		}
-		out = appendBucketData(out, d)
+		out = durability.AppendBucketData(out, d)
 	}
 	return out
 }

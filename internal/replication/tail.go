@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"pstore/internal/durability"
 	"pstore/internal/metrics"
 )
 
@@ -187,6 +188,7 @@ func (t *Tail) session() error {
 	// flush severs the connection — the reconnect resyncs from the durable
 	// horizon, never acking bytes that were not fsynced.
 	var sinceSync int64
+	var rec durability.Record // decoded into per record: its Args map is reused
 	ackDurable := func(err error) {
 		if err != nil {
 			conn.Close()
@@ -207,10 +209,10 @@ func (t *Tail) session() error {
 		if err != nil {
 			return err
 		}
-		if isHeartbeat(payload) {
-			continue
-		}
 		switch {
+		case isHeartbeat(payload):
+			// Nothing to apply, but it may be what drains the read buffer
+			// behind the last record: fall through to the drain check.
 		case len(payload) > 0 && payload[0] == msgBatch:
 			count, rest, err := splitBatch(payload)
 			if err != nil {
@@ -222,28 +224,27 @@ func (t *Tail) session() error {
 				if err != nil {
 					return err
 				}
-				if err := t.applyOne(rp); err != nil {
+				if err := t.applyOne(&rec, rp); err != nil {
 					return err
 				}
 			}
 			if len(rest) != 0 {
-				return errShipTrailing
+				return durability.ErrTrailing
 			}
 			sinceSync += int64(count)
 		case len(payload) > 0 && payload[0] >= msgSubscribe:
 			if payload[0] == msgError {
-				r := reader{data: payload[1:]}
-				msg, _ := r.string()
-				return fmt.Errorf("replication: hub severed stream: %s", msg)
+				d := durability.NewDecoder(payload[1:])
+				return fmt.Errorf("replication: hub severed stream: %s", d.Str())
 			}
 			return fmt.Errorf("replication: unexpected message kind %d mid-stream", payload[0])
 		default:
-			if err := t.applyOne(payload); err != nil {
+			if err := t.applyOne(&rec, payload); err != nil {
 				return err
 			}
 			sinceSync++
 		}
-		if br.Buffered() == 0 {
+		if sinceSync > 0 && br.Buffered() == 0 {
 			t.events.Observe(metrics.HistReplStandbyFsyncBatch, sinceSync)
 			sinceSync = 0
 			t.rep.SyncAsync(ackDurable)
@@ -251,12 +252,11 @@ func (t *Tail) session() error {
 	}
 }
 
-// applyOne decodes one record payload, applies it through the replica and
-// appends it to the replica's own command log when freshly applied (not a
-// duplicate-skip), so a respawn replays locally.
-func (t *Tail) applyOne(payload []byte) error {
-	rec, err := decodeRecord(payload)
-	if err != nil {
+// applyOne decodes one record payload into rec, applies it through the
+// replica and appends the payload to the replica's own command log when
+// freshly applied (not a duplicate-skip), so a respawn replays locally.
+func (t *Tail) applyOne(rec *durability.Record, payload []byte) error {
+	if err := rec.Decode(payload); err != nil {
 		return err
 	}
 	applied := t.rep.Applied()
@@ -267,7 +267,9 @@ func (t *Tail) applyOne(payload []byte) error {
 		return err
 	}
 	if rec.LSN > applied {
-		if err := t.rep.LogRecord(rec); err != nil {
+		// The received bytes are logged verbatim, before the next
+		// readShipFrame reuses their buffer.
+		if err := t.rep.LogRecord(rec, payload); err != nil {
 			return err
 		}
 	}
