@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -198,13 +199,6 @@ type Cluster struct {
 	reconfig   bool
 }
 
-// latencyRawWindows is how many windows of raw latency samples the cluster
-// keeps before summarizing them. Every Record site stamps time.Now(), so no
-// sample arrives more than a scheduling delay late, and anything longer
-// (metrics.DefaultRetention is two minutes) only makes the heap grow with
-// throughput: 8 bytes × txn/s × horizon.
-const latencyRawWindows = 4
-
 // New starts a cluster with the configured initial nodes; buckets are dealt
 // round-robin across the initial partitions.
 func New(cfg Config) (*Cluster, error) {
@@ -237,7 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 		moveStalls: metrics.NewDurationHist(),
 		migrating:  make(map[int]bool),
 	}
-	c.latencies.SetRetention(latencyRawWindows * window)
 	if cfg.ReplicationFactor > 0 {
 		if err := c.initReplication(); err != nil {
 			return nil, err
@@ -979,56 +972,120 @@ func (c *Cluster) NBuckets() int { return c.cfg.NBuckets }
 // PartitionsPerNode returns P.
 func (c *Cluster) PartitionsPerNode() int { return c.cfg.PartitionsPerNode }
 
-// Call routes a transaction by its key and executes it, retrying while the
-// key's bucket is in flight between partitions. The retry loop is bounded
-// both in time (RetryBudget) and in attempts (RetryAttempts), and every
-// requeue is counted in Events as a migration retry — a transaction can
-// observe the in-between window of a bucket move, but never spin in it
-// unboundedly or silently. Overload fast-fails (engine.ErrOverloaded) are
-// never retried here: shedding exists to cut queueing, so the client gets
-// the typed error (and a retry-after hint over the wire) immediately.
-// End-to-end latency (including retries and queueing) is recorded in
-// Latencies.
+// Call routes a transaction by its key and executes it: CallAsync plus a
+// pooled waiter, so a synchronous call shares every routing, retry and
+// timing rule of the asynchronous one.
 func (c *Cluster) Call(txn *engine.Txn) engine.Result {
-	start := time.Now()
-	c.offered.Add(start, 1)
-	return c.callSync(txn, start)
+	w := engine.AcquireWaiter()
+	c.CallAsync(txn, w)
+	return w.Wait()
 }
 
-// callSync is Call's bounded retry loop, shared with CallAsync's fallback
-// path (which has already counted the offered load and must keep the
-// original start time so the retry deadline and recorded latency span the
-// whole call).
-func (c *Cluster) callSync(txn *engine.Txn, start time.Time) engine.Result {
-	deadline := start.Add(c.cfg.retryBudget())
-	bucket := storage.BucketOf(txn.Key, c.cfg.NBuckets)
-	var res engine.Result
-	for attempt := 0; ; attempt++ {
-		// One atomic snapshot load covers both the ownership lookup and
-		// the executor lookup — the whole route is lock-free.
-		rt := c.route.Load()
-		pid := rt.owner[bucket]
-		exec, ok := rt.execs[pid]
-		if !ok {
-			res = engine.Result{Err: fmt.Errorf("cluster: no executor for partition %d", pid)}
-		} else if gerr := c.quorumGate(rt, pid); gerr != nil {
-			res = engine.Result{Err: gerr, Partition: pid}
-		} else {
-			res = exec.Call(txn)
-		}
-		if errors.Is(res.Err, engine.ErrOverloaded) {
-			c.events.Add(metrics.EventShed, 1)
-			break
-		}
-		if !c.retriable(res.Err, ok) || attempt+1 >= c.cfg.retryAttempts() || time.Now().After(deadline) {
-			break
-		}
-		c.events.Add(metrics.EventMigrationRetries, 1)
-		time.Sleep(c.cfg.retryInterval())
+// CallAsync routes and executes a transaction, delivering the result
+// through comp instead of blocking the caller: the reply is produced
+// directly on the executor's completion path, so a server connection can
+// dispatch a call and return to its read loop without parking a goroutine
+// per in-flight transaction. comp.Complete must be non-blocking (it runs on
+// the executor or group-commit goroutine) and may be invoked synchronously
+// on the caller's goroutine when admission control sheds the call.
+//
+// A transaction that never ran — its bucket in flight between partitions,
+// its executor stopped or fenced mid-route, its primary below the write
+// quorum — is retried, bounded both in time (RetryBudget) and in attempts
+// (RetryAttempts), and every retry is counted in Events as a migration
+// retry: a transaction can observe the in-between window of a bucket move,
+// but never spin in it unboundedly or silently. Overload fast-fails
+// (engine.ErrOverloaded) are never retried here: shedding exists to cut
+// queueing, so the client gets the typed error (and a retry-after hint over
+// the wire) immediately. End-to-end latency, retries and queueing included,
+// is recorded in Latencies.
+func (c *Cluster) CallAsync(txn *engine.Txn, comp engine.Completion) {
+	start := time.Now()
+	c.offered.Add(start, 1)
+	c.dispatch(txn, comp, start, false)
+}
+
+// call is one routed transaction's state machine, from its first attempt
+// to its completion: attempt routes and dispatches it, Complete retries or
+// finishes it. It is the one place a routed transaction is re-dispatched.
+// Pooled so the steady-state call path allocates nothing.
+type call struct {
+	c        *Cluster
+	txn      *engine.Txn
+	comp     engine.Completion
+	start    time.Time
+	bucket   int
+	attempts int
+	// readOnly skips the quorum gate: a quorum-degraded primary still
+	// serves reads.
+	readOnly bool
+	// retry re-arms attempt after the retry interval. It stays with the
+	// pooled call, so retrying allocates no timer.
+	retry *time.Timer
+}
+
+var calls = sync.Pool{New: func() any { return new(call) }}
+
+// dispatch starts a call whose offered load the caller has already counted.
+func (c *Cluster) dispatch(txn *engine.Txn, comp engine.Completion, start time.Time, readOnly bool) {
+	a := calls.Get().(*call)
+	a.c, a.txn, a.comp, a.start, a.readOnly = c, txn, comp, start, readOnly
+	a.bucket = storage.BucketOf(txn.Key, c.cfg.NBuckets)
+	a.attempt()
+}
+
+// errNoExecutor marks a route whose owner has no executor (a node
+// mid-removal): the transaction never ran, so it is retried.
+var errNoExecutor = errors.New("cluster: no executor for partition")
+
+// attempt routes the call against the current snapshot — one atomic load
+// covers both the ownership and the executor lookup — and dispatches it.
+// The call must not be touched afterwards: Complete may already have
+// recycled it.
+func (a *call) attempt() {
+	a.attempts++
+	rt := a.c.route.Load()
+	pid := rt.owner[a.bucket]
+	exec, ok := rt.execs[pid]
+	if !ok {
+		a.Complete(engine.Result{Err: fmt.Errorf("%w %d", errNoExecutor, pid)})
+		return
 	}
-	res.Latency = time.Since(start)
-	c.latencies.Record(time.Now(), res.Latency)
-	return res
+	if !a.readOnly {
+		if err := a.c.quorumGate(rt, pid); err != nil {
+			a.Complete(engine.Result{Err: err, Partition: pid})
+			return
+		}
+	}
+	exec.CallAsync(a.txn, a)
+}
+
+// Complete runs on the executor or group-commit goroutine (or the caller's,
+// for a call refused before execution). A retriable outcome within the
+// budget re-arms attempt on a timer, so nothing parks and no goroutine is
+// spawned; anything else stamps and records the latency once and hands the
+// result to the caller's completion.
+func (a *call) Complete(res engine.Result) {
+	c := a.c
+	if errors.Is(res.Err, engine.ErrOverloaded) {
+		c.events.Add(metrics.EventShed, 1)
+	} else if retriable(res.Err) && a.attempts < c.cfg.retryAttempts() &&
+		time.Since(a.start) <= c.cfg.retryBudget() {
+		c.events.Add(metrics.EventMigrationRetries, 1)
+		if a.retry == nil {
+			// Created unarmed, so the field is set before attempt can run.
+			a.retry = time.AfterFunc(math.MaxInt64, a.attempt)
+		}
+		a.retry.Reset(c.cfg.retryInterval())
+		return
+	}
+	now := time.Now()
+	res.Latency = now.Sub(a.start)
+	c.latencies.Record(now, res.Latency)
+	comp := a.comp
+	*a = call{retry: a.retry}
+	calls.Put(a)
+	comp.Complete(res)
 }
 
 // quorumGate sheds a transaction before execution when the partition's
@@ -1051,84 +1108,17 @@ func (c *Cluster) quorumGate(rt *routing, pid int) error {
 }
 
 // retriable reports whether err means the transaction never ran (bucket in
-// flight, executor stopped or fenced mid-route, primary below its write
-// quorum, replication ack window full) and may safely be requeued. routed
-// is false when the routing table had no executor for the owner.
-func (c *Cluster) retriable(err error, routed bool) bool {
-	return storage.IsNotOwned(err) ||
+// flight, no executor for the owner, executor stopped or fenced mid-route,
+// primary below its write quorum, replication ack window full) and may
+// safely be requeued.
+func retriable(err error) bool {
+	return err != nil && (storage.IsNotOwned(err) ||
+		errors.Is(err, errNoExecutor) ||
 		errors.Is(err, engine.ErrStopped) ||
 		errors.Is(err, replication.ErrFenced) ||
 		errors.Is(err, replication.ErrClosed) ||
 		errors.Is(err, replication.ErrQuorumLost) ||
-		errors.Is(err, replication.ErrWindowFull) ||
-		(err != nil && !routed)
-}
-
-// asyncCall carries one CallAsync invocation's bookkeeping through the
-// executor's completion path. Pooled so the steady-state async call path
-// allocates nothing.
-type asyncCall struct {
-	c     *Cluster
-	txn   *engine.Txn
-	comp  engine.Completion
-	start time.Time
-}
-
-var asyncCallPool = sync.Pool{New: func() any { return new(asyncCall) }}
-
-// Complete runs on the executor (or group-commit) goroutine: it applies the
-// cluster-level accounting that Call does inline — shed events, latency
-// recording — and hands the result to the caller's completion. The rare
-// retriable outcome (the bucket moved or the executor died between routing
-// and execution; the transaction never ran) falls back to the synchronous
-// retry loop on a fresh goroutine, keeping the executor non-blocked.
-func (a *asyncCall) Complete(res engine.Result) {
-	c, txn, comp, start := a.c, a.txn, a.comp, a.start
-	*a = asyncCall{}
-	asyncCallPool.Put(a)
-	if errors.Is(res.Err, engine.ErrOverloaded) {
-		c.events.Add(metrics.EventShed, 1)
-	} else if c.retriable(res.Err, true) {
-		go func() {
-			c.events.Add(metrics.EventMigrationRetries, 1)
-			comp.Complete(c.callSync(txn, start))
-		}()
-		return
-	}
-	res.Latency = time.Since(start)
-	c.latencies.Record(time.Now(), res.Latency)
-	comp.Complete(res)
-}
-
-// CallAsync routes and executes a transaction like Call, but delivers the
-// result through comp instead of blocking the caller: the reply is produced
-// directly on the executor's completion path, so a server connection can
-// dispatch a call and return to its read loop without parking a goroutine
-// per in-flight transaction. comp.Complete must be non-blocking (it runs on
-// the executor or group-commit goroutine) and may be invoked synchronously
-// on the caller's goroutine when admission control sheds the call.
-func (c *Cluster) CallAsync(txn *engine.Txn, comp engine.Completion) {
-	start := time.Now()
-	c.offered.Add(start, 1)
-	rt := c.route.Load()
-	bucket := storage.BucketOf(txn.Key, c.cfg.NBuckets)
-	pid := rt.owner[bucket]
-	exec, ok := rt.execs[pid]
-	if !ok {
-		// No executor for the owner (node mid-removal): take the slow path,
-		// which retries against fresh routing tables.
-		go func() { comp.Complete(c.callSync(txn, start)) }()
-		return
-	}
-	if c.quorumGate(rt, pid) != nil {
-		// Primary below its write quorum: the synchronous loop retries until
-		// the monitor restores quorum or the budget runs out.
-		go func() { comp.Complete(c.callSync(txn, start)) }()
-		return
-	}
-	a := asyncCallPool.Get().(*asyncCall)
-	a.c, a.txn, a.comp, a.start = c, txn, comp, start
-	exec.CallAsync(txn, a)
+		errors.Is(err, replication.ErrWindowFull))
 }
 
 // LoadRow inserts a row directly into whichever partition owns the key,

@@ -3,9 +3,13 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pstore/internal/engine"
+	"pstore/internal/metrics"
+	"pstore/internal/storage"
 )
 
 func testRegistry() *engine.Registry {
@@ -48,6 +52,9 @@ func TestClusterBasicRouting(t *testing.T) {
 		res := c.Call(&engine.Txn{Proc: "Put", Key: key, Args: map[string]string{"v": key}})
 		if res.Err != nil {
 			t.Fatalf("put %s: %v", key, res.Err)
+		}
+		if res.Latency <= 0 {
+			t.Fatalf("put %s: latency %v, want positive", key, res.Latency)
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -206,4 +213,87 @@ func TestClusterStopIdempotent(t *testing.T) {
 	}
 	c.Stop()
 	c.Stop()
+}
+
+// results is a Completion that forwards every result to a buffered channel.
+type results chan engine.Result
+
+func (r results) Complete(res engine.Result) { r <- res }
+
+// strayCluster starts a test cluster with the given retry budget whose
+// "Count" procedure counts its attempts, and routes the returned key's
+// bucket to a partition that does not own it. When restoreAt > 0, attempt
+// number restoreAt points the bucket back at its owner, so a later attempt
+// lands.
+func strayCluster(t *testing.T, attempts *atomic.Int64, restoreAt int64, retryAttempts int, interval time.Duration) (*Cluster, string) {
+	t.Helper()
+	var restore func()
+	cfg := testConfig()
+	cfg.Registry.Register("Count", func(tx *engine.Txn) error {
+		if attempts.Add(1) == restoreAt {
+			go restore() // SetOwner takes c.mu, which an executor must not wait on
+		}
+		_, _, err := tx.Get("T", tx.Key)
+		return err
+	})
+	cfg.RetryAttempts = retryAttempts
+	cfg.RetryInterval = interval
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	const key = "stray"
+	bucket := storage.BucketOf(key, cfg.NBuckets)
+	owner := c.OwnerOf(bucket)
+	restore = func() { c.SetOwner(bucket, owner) }
+	c.SetOwner(bucket, (owner+1)%len(c.Executors()))
+	return c, key
+}
+
+// TestRetryBudgetSameSyncAndAsync pins one attempt budget for every routed
+// call: with RetryAttempts 3 and a key whose bucket is routed to a
+// partition that does not own it, Call and CallAsync each make exactly 3
+// attempts, count 2 migration retries and return NotOwned — and a call
+// whose bucket's owner is restored mid-budget succeeds.
+func TestRetryBudgetSameSyncAndAsync(t *testing.T) {
+	var attempts atomic.Int64
+	c, key := strayCluster(t, &attempts, 0, 3, 100*time.Microsecond)
+	calls := []struct {
+		name string
+		run  func() engine.Result
+	}{
+		{"Call", func() engine.Result { return c.Call(&engine.Txn{Proc: "Count", Key: key}) }},
+		{"CallAsync", func() engine.Result {
+			done := make(results, 1)
+			c.CallAsync(&engine.Txn{Proc: "Count", Key: key}, done)
+			return <-done
+		}},
+	}
+	for _, call := range calls {
+		attempts.Store(0)
+		retries := c.Events().Get(metrics.EventMigrationRetries)
+		res := call.run()
+		if !storage.IsNotOwned(res.Err) {
+			t.Errorf("%s: err = %v, want NotOwned", call.name, res.Err)
+		}
+		if n := attempts.Load(); n != 3 {
+			t.Errorf("%s: %d attempts, want 3", call.name, n)
+		}
+		if n := c.Events().Get(metrics.EventMigrationRetries) - retries; n != 2 {
+			t.Errorf("%s: %d migration retries, want 2", call.name, n)
+		}
+	}
+
+	// Ownership restored while the call is retrying: a later attempt lands.
+	var landed atomic.Int64
+	c, key = strayCluster(t, &landed, 2, 1000, time.Millisecond)
+	res := c.Call(&engine.Txn{Proc: "Count", Key: key})
+	if res.Err != nil {
+		t.Fatalf("call after ownership restored: %v", res.Err)
+	}
+	n := landed.Load()
+	if retries := c.Events().Get(metrics.EventMigrationRetries); n < 3 || retries != n-1 {
+		t.Errorf("%d attempts, %d migration retries; want ≥ 3 attempts, one retry before each after the first", n, retries)
+	}
 }

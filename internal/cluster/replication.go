@@ -911,9 +911,11 @@ func (c *Cluster) finishRead(start time.Time, res engine.Result) engine.Result {
 // partition, enforcing session consistency: a replica serves it only once
 // its applied LSN covers the session's last write to that partition. The
 // common read is TryReadOnly's single attempt; one that has to wait does so
-// here — for the replica's horizon, then, with no replica available or
-// when the replica read fails (stale horizon, mid-promotion), on the
-// primary, which trivially satisfies the session. Retries mirror Call.
+// here — once, for a replica's horizon — and with no replica available, or
+// when the replica read fails (stale horizon, mid-promotion), falls back to
+// the primary, which trivially satisfies the session. The fallback is an
+// ordinary routed call (the quorum gate skipped: a quorum-degraded primary
+// still serves reads), retried under the same budget as every other call.
 // Offered load and latency are counted once per read whichever path serves.
 func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session map[int]uint64) engine.Result {
 	start := time.Now()
@@ -921,40 +923,17 @@ func (c *Cluster) CallReadOnly(proc, key string, args map[string]string, session
 		return res
 	}
 	c.offered.Add(start, 1)
-	deadline := start.Add(c.cfg.retryBudget())
-	bucket := storage.BucketOf(key, c.cfg.NBuckets)
-	var res engine.Result
-	for attempt := 0; ; attempt++ {
-		rt := c.route.Load()
-		pid := rt.owner[bucket]
-		if rep := c.pickReplica(pid); rep != nil {
-			out, err := rep.SessionRead(proc, key, args, session[pid])
-			if !replicaCannotServe(err) {
-				res = engine.Result{Out: out, Err: err, Partition: pid}
-				break
-			}
-			c.events.Add(metrics.EventReplFallbackReads, 1)
+	pid := c.RouteKey(key)
+	if rep := c.pickReplica(pid); rep != nil {
+		out, err := rep.SessionRead(proc, key, args, session[pid])
+		if !replicaCannotServe(err) {
+			return c.finishRead(start, engine.Result{Out: out, Err: err, Partition: pid})
 		}
-		exec, ok := rt.execs[pid]
-		if !ok {
-			res = engine.Result{Err: fmt.Errorf("cluster: no executor for partition %d", pid)}
-		} else {
-			res = exec.Call(&engine.Txn{Proc: proc, Key: key, Args: args})
-		}
-		if errors.Is(res.Err, engine.ErrOverloaded) {
-			c.events.Add(metrics.EventShed, 1)
-			break
-		}
-		retriable := storage.IsNotOwned(res.Err) ||
-			errors.Is(res.Err, engine.ErrStopped) ||
-			(res.Err != nil && !ok)
-		if !retriable || attempt+1 >= c.cfg.retryAttempts() || time.Now().After(deadline) {
-			break
-		}
-		c.events.Add(metrics.EventMigrationRetries, 1)
-		time.Sleep(c.cfg.retryInterval())
+		c.events.Add(metrics.EventReplFallbackReads, 1)
 	}
-	return c.finishRead(start, res)
+	w := engine.AcquireWaiter()
+	c.dispatch(&engine.Txn{Proc: proc, Key: key, Args: args}, w, start, true)
+	return w.Wait()
 }
 
 // WaitReplicasCaughtUp blocks until every serving replica's applied LSN has

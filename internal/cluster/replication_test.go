@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,7 +270,8 @@ func TestCallReadOnlyFallsBackWhenStale(t *testing.T) {
 // MeasureLoad rests on: every session read adds exactly one unit of offered
 // load and one latency sample, whether the non-blocking attempt serves it
 // (TryReadOnly, or CallReadOnly's first try) or it has to wait and fall back
-// to the primary — and an attempt that declines adds nothing.
+// to the primary — retries of that fallback included — and an attempt that
+// declines adds nothing.
 func TestReadOnlyCountedOncePerRead(t *testing.T) {
 	cfg := replConfig(1)
 	cfg.Replication.StaleReadTimeout = 5 * time.Millisecond
@@ -322,6 +324,21 @@ func TestReadOnlyCountedOncePerRead(t *testing.T) {
 	}
 	if o, l, _, f := counts(); o-off != n || l-lat != n || f-fb != n {
 		t.Fatalf("after %d waiting reads: offered +%v, samples +%d, fallbacks +%d", n, o-off, l-lat, f-fb)
+	}
+
+	// No replicas (k=0): the read goes straight to the primary, whose bucket
+	// is routed elsewhere until the fallback has retried.
+	var attempts atomic.Int64
+	p, stray := strayCluster(t, &attempts, 2, 1000, time.Millisecond)
+	r := p.CallReadOnly("Count", stray, nil, nil)
+	if r.Err != nil {
+		t.Fatalf("primary-fallback read after ownership restored: %v", r.Err)
+	}
+	if retries := p.Events().Get(metrics.EventMigrationRetries); retries == 0 {
+		t.Error("primary-fallback read never retried NotOwned")
+	}
+	if o, l := p.OfferedLoad().Total(), p.Latencies().Count(); o != 1 || l != 1 {
+		t.Fatalf("retried primary-fallback read: offered %v, samples %d; want 1 each", o, l)
 	}
 }
 

@@ -36,30 +36,31 @@ func benchmarkExecutorWrites(b *testing.B, opts *Options) {
 	}()
 
 	const window = 256
-	pending := make([]<-chan engine.Result, 0, window)
+	done := make(results, window)
+	pending := 0
 	drain := func() {
-		for _, ch := range pending {
-			if res := <-ch; res.Err != nil {
+		for ; pending > 0; pending-- {
+			if res := <-done; res.Err != nil {
 				b.Fatal(res.Err)
 			}
 		}
-		pending = pending[:0]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn := engine.Txn{Proc: "set", Key: fmt.Sprintf("k-%d", i%97),
 			Args: map[string]string{"v": "benchmark-value"}}
-		ch, err := e.Submit(&txn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pending = append(pending, ch)
-		if len(pending) == window {
+		e.CallAsync(&txn, done)
+		if pending++; pending == window {
 			drain()
 		}
 	}
 	drain()
 }
+
+// results is a Completion that forwards every result to a buffered channel.
+type results chan engine.Result
+
+func (r results) Complete(res engine.Result) { r <- res }
 
 func BenchmarkDurabilityOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {

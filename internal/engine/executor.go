@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstore/internal/metrics"
 	"pstore/internal/storage"
 )
 
@@ -33,11 +32,6 @@ type Config struct {
 	// QueueDepth bounds the executor's task queue; submissions beyond it
 	// fail with ErrOverloaded. Defaults to 8192.
 	QueueDepth int
-	// Recorder, if set, receives the latency of every completed
-	// transaction. Use a sharded recorder (metrics.NewShardedRecorder)
-	// when many executors share one, so the hot path never crosses a
-	// global mutex.
-	Recorder metrics.Recorder
 	// Log, if set, receives every committed writing transaction before the
 	// client is acked (command logging). When nil the executor takes the
 	// in-memory fast path with no durability overhead.
@@ -51,7 +45,9 @@ func (c Config) queueDepth() int {
 	return c.QueueDepth
 }
 
-// Result is the outcome of a transaction.
+// Result is the outcome of a transaction. Latency is stamped by the
+// cluster's call path, which times a transaction end to end across retries;
+// the executor leaves it zero.
 type Result struct {
 	Out     map[string]string
 	Err     error
@@ -103,19 +99,40 @@ type Executor struct {
 	spinTimer *time.Timer
 }
 
-// Completion receives a transaction's result on the completion path of an
-// asynchronous call (CallAsync). Complete runs on the executor goroutine —
-// or the group-commit goroutine for logged writes — so implementations must
-// be non-blocking and bounded: encode, hand off, return.
+// Completion receives a transaction's result: it is the only way a
+// transaction's outcome leaves the executor. Complete runs on the executor
+// goroutine — or the group-commit goroutine for logged writes — so
+// implementations must be non-blocking and bounded: encode, hand off,
+// return.
 type Completion interface {
 	Complete(Result)
 }
 
+// Waiter is a one-shot Completion a synchronous caller parks on: the one way
+// a blocking call is built from an asynchronous one. Complete's send cannot
+// block (the channel holds one result and receives exactly one). Waiters
+// are pooled, so a synchronous call allocates nothing for its reply.
+type Waiter chan Result
+
+var waiters = sync.Pool{New: func() any { return make(Waiter, 1) }}
+
+// AcquireWaiter returns a pooled Waiter. Pass it as exactly one call's
+// completion, then call Wait once.
+func AcquireWaiter() Waiter { return waiters.Get().(Waiter) }
+
+// Complete delivers the call's result to the parked caller.
+func (w Waiter) Complete(res Result) { w <- res }
+
+// Wait blocks for the result and returns the Waiter to its pool.
+func (w Waiter) Wait() Result {
+	res := <-w
+	waiters.Put(w)
+	return res
+}
+
 type task struct {
-	txn     *Txn
-	reply   chan Result
-	comp    Completion
-	started time.Time
+	txn  *Txn
+	comp Completion
 
 	fn      func(p *storage.Partition) (rows int, err error)
 	fnReply chan error
@@ -276,7 +293,7 @@ func (e *Executor) run() {
 				// pipelining is what makes group commit cheap.
 				e.ackDurable(t, res)
 			} else {
-				e.deliver(t, res)
+				t.comp.Complete(res)
 			}
 		case t.fn != nil:
 			rows, err := t.fn(e.part)
@@ -299,48 +316,17 @@ func (e *Executor) run() {
 
 func isNotOwned(err error) bool { return storage.IsNotOwned(err) }
 
-// deliver completes a transaction task: it stamps the latency, records it,
-// and hands the result to the task's completion (async calls) or reply
-// channel (synchronous calls). It runs on the executor goroutine; both
-// delivery forms are bounded — Complete implementations are contractually
-// non-blocking and reply channels are buffered single-use.
-func (e *Executor) deliver(t task, res Result) {
-	res.Latency = time.Since(t.started)
-	if e.cfg.Recorder != nil {
-		e.cfg.Recorder.Record(time.Now(), res.Latency)
-	}
-	if t.comp != nil {
-		t.comp.Complete(res)
-		return
-	}
-	if t.reply != nil {
-		t.reply <- res //pstore:ignore execblock — reply is buffered (cap 1) and single-use; the send cannot block
-	}
-}
-
-// ackDurable defers a transaction's reply until its log record is on stable
-// storage. The callback runs on the log's group-commit goroutine (or a
-// replication feed's completion path).
+// ackDurable defers a transaction's completion until its log record is on
+// stable storage. The callback runs on the log's group-commit goroutine (or
+// a replication feed's completion path).
 func (e *Executor) ackDurable(t task, res Result) {
-	started := t.started
-	reply := t.reply
 	comp := t.comp
 	e.cfg.Log.Append(t.txn.Proc, t.txn.Key, t.txn.Args, func(lsn uint64, logErr error) {
 		res.LSN = lsn
 		if logErr != nil && res.Err == nil {
 			res.Err = fmt.Errorf("engine: command log append: %w", logErr)
 		}
-		res.Latency = time.Since(started)
-		if e.cfg.Recorder != nil {
-			e.cfg.Recorder.Record(time.Now(), res.Latency)
-		}
-		if comp != nil {
-			comp.Complete(res)
-			return
-		}
-		if reply != nil {
-			reply <- res //pstore:ignore execblock — reply is buffered (cap 1) and single-use; runs on the group-commit goroutine
-		}
+		comp.Complete(res)
 	})
 }
 
@@ -415,45 +401,22 @@ func (e *Executor) spin(d time.Duration) {
 	}
 }
 
-// Submit enqueues a transaction and returns a channel delivering its
-// result, or ErrOverloaded/ErrStopped.
-func (e *Executor) Submit(txn *Txn) (<-chan Result, error) {
-	reply := make(chan Result, 1)
-	t := task{txn: txn, reply: reply, started: time.Now()}
-	if err := e.enqueue(t); err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-// resultChans recycles Call's one-shot reply channels: every enqueued
-// transaction receives exactly one reply (the run loop drains the queue on
-// Stop), so a received-from channel is always safe to reuse.
-var resultChans = sync.Pool{New: func() any { return make(chan Result, 1) }}
-
-// Call runs a transaction and waits for its result. Unlike Submit it
-// recycles the reply channel, so the steady-state call path does not
-// allocate.
+// Call runs a transaction and waits for its result: CallAsync plus a
+// pooled Waiter.
 func (e *Executor) Call(txn *Txn) Result {
-	reply := resultChans.Get().(chan Result)
-	t := task{txn: txn, reply: reply, started: time.Now()}
-	if err := e.enqueue(t); err != nil {
-		resultChans.Put(reply)
-		return Result{Err: err}
-	}
-	res := <-reply
-	resultChans.Put(reply)
-	return res
+	w := AcquireWaiter()
+	e.CallAsync(txn, w)
+	return w.Wait()
 }
 
-// CallAsync enqueues a transaction and delivers its result through comp
-// instead of a reply channel: the executor (or the group committer, for
-// logged writes) invokes comp.Complete directly, so a completed call needs
-// no wakeup of a parked caller goroutine. Enqueue failures (ErrOverloaded,
-// ErrStopped) complete synchronously on the caller's goroutine.
+// CallAsync enqueues a transaction and delivers its result through comp:
+// the executor (or the group committer, for logged writes) invokes
+// comp.Complete exactly once, so a completed call needs no wakeup of a
+// parked caller goroutine. Enqueue failures (ErrOverloaded, ErrStopped)
+// complete synchronously on the caller's goroutine. Every transaction
+// enqueued is completed: the run loop drains the queue on Stop.
 func (e *Executor) CallAsync(txn *Txn, comp Completion) {
-	t := task{txn: txn, comp: comp, started: time.Now()}
-	if err := e.enqueue(t); err != nil {
+	if err := e.enqueue(task{txn: txn, comp: comp}); err != nil {
 		comp.Complete(Result{Err: err})
 	}
 }

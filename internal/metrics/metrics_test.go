@@ -104,8 +104,11 @@ func TestTopFractionCDF(t *testing.T) {
 	}
 }
 
+// The TestLatencyRecorder* tests pin ShardedRecorder, the one latency
+// recorder.
+
 func TestLatencyRecorderWindows(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
 	// Window 0: 100 obs of 10ms with one 600ms outlier at the p99 edge.
 	for i := 0; i < 99; i++ {
@@ -137,7 +140,7 @@ func TestLatencyRecorderWindows(t *testing.T) {
 }
 
 func TestLatencyRecorderConcurrent(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -160,14 +163,13 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 // and per-window stats stay intact, and late records into evicted windows
 // are dropped and counted.
 func TestLatencyRecorderRetention(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
-	r.SetRetention(5 * time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 60; i++ {
 		r.Record(base.Add(time.Duration(i)*time.Second), time.Duration(i+1)*time.Millisecond)
 	}
-	if raw := r.RawWindows(); raw > 5 {
-		t.Errorf("RawWindows = %d, want <= 5 (horizon)", raw)
+	if raw := r.RawWindows(); raw > retainedWindows {
+		t.Errorf("RawWindows = %d, want <= %d (horizon)", raw, retainedWindows)
 	}
 	if r.Count() != 60 {
 		t.Errorf("Count = %d, want 60", r.Count())
@@ -197,26 +199,35 @@ func TestLatencyRecorderRetention(t *testing.T) {
 	}
 }
 
-// TestLatencyRecorderSetRetentionEvicts checks that shrinking the horizon
-// evicts immediately without losing any summaries.
-func TestLatencyRecorderSetRetentionEvicts(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+// TestLatencyRecorderLateDrop pins the horizon's edge: once window n has
+// an observation, windows up to n-retainedWindows are summarized, so a
+// sample for window n-retainedWindows is dropped and counted while one for
+// the window after it still lands.
+func TestLatencyRecorderLateDrop(t *testing.T) {
+	r := NewShardedRecorder(time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 30; i++ {
+	const n = 10
+	for i := 0; i < n; i++ {
 		r.Record(base.Add(time.Duration(i)*time.Second), 5*time.Millisecond)
 	}
-	if raw := r.RawWindows(); raw != 30 {
-		t.Fatalf("RawWindows = %d, want 30 under the default horizon", raw)
+	if raw := r.RawWindows(); raw != retainedWindows {
+		t.Fatalf("RawWindows = %d, want %d", raw, retainedWindows)
 	}
-	r.SetRetention(3 * time.Second)
-	if raw := r.RawWindows(); raw > 3 {
-		t.Errorf("RawWindows after shrink = %d, want <= 3", raw)
+	edge := n - 1 - retainedWindows
+	r.Record(base.Add(time.Duration(edge)*time.Second+time.Millisecond), 7*time.Millisecond)
+	if r.LateDropped() != 1 {
+		t.Errorf("LateDropped = %d after a sample for summarized window %d, want 1", r.LateDropped(), edge)
 	}
-	if r.Count() != 30 {
-		t.Errorf("Count = %d, want 30", r.Count())
+	r.Record(base.Add(time.Duration(edge+1)*time.Second+time.Millisecond), 7*time.Millisecond)
+	if r.LateDropped() != 1 {
+		t.Errorf("LateDropped = %d after a sample for raw window %d, want 1", r.LateDropped(), edge+1)
 	}
-	if got := len(r.Windows()); got != 30 {
-		t.Errorf("windows = %d, want 30", got)
+	if r.Count() != n+1 {
+		t.Errorf("Count = %d, want %d", r.Count(), n+1)
+	}
+	ws := r.Windows()
+	if len(ws) != n || ws[edge].Count != 1 || ws[edge+1].Count != 2 || ws[edge+1].Max != 7*time.Millisecond {
+		t.Errorf("windows = %+v", ws)
 	}
 }
 
@@ -290,7 +301,7 @@ func TestCounter(t *testing.T) {
 
 func TestLatencyRecorderRandomizedAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Now()
 	var all []time.Duration
 	for i := 0; i < 500; i++ {

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,161 +20,236 @@ type WindowStats struct {
 	Mean  time.Duration
 }
 
-// DefaultRetention is how far behind the newest observation a window's raw
-// latency samples are kept before being summarized and evicted.
-const DefaultRetention = 2 * time.Minute
+// retainedWindows is how many windows of raw samples a recorder keeps
+// behind its newest observation before summarizing them. Every Record site
+// stamps time.Now(), so no sample arrives more than a scheduling delay
+// late, and a longer horizon only makes the heap grow with throughput:
+// 8 bytes × txn/s × horizon.
+const retainedWindows = 4
 
-// Recorder receives latency observations. LatencyRecorder (single mutex)
-// and ShardedRecorder (striped, for hot paths) both implement it.
-type Recorder interface {
-	Record(at time.Time, latency time.Duration)
-}
-
-// LatencyRecorder collects transaction latencies into fixed-size time
+// ShardedRecorder collects transaction latencies into fixed-size time
 // windows and summarizes each window's percentiles. It is safe for
-// concurrent use.
+// concurrent use and built for hot paths: observations are striped across
+// per-shard sample buffers (each with its own mutex, on its own cache
+// line), window bookkeeping is done with atomics, and shards are only
+// merged on read, so many concurrent recorders — every executor and client
+// goroutine — never cross a global mutex.
 //
-// Raw per-window samples are kept only within a configurable retention
-// horizon of the newest observation; older windows are summarized into
-// fixed-size WindowStats and their samples freed, so a long-running
-// recorder's memory is bounded by the horizon, not the run length.
-// Observations arriving for an already-summarized window are dropped (and
-// counted in LateDropped).
-type LatencyRecorder struct {
+// Samples bucket into fixed windows from the first observation's epoch.
+// Windows more than retainedWindows behind the newest observation are
+// summarized into fixed-size WindowStats and their raw samples freed, so
+// memory is bounded by the horizon, not the run length; observations
+// arriving for an already-summarized window are dropped (and counted in
+// LateDropped).
+type ShardedRecorder struct {
 	window time.Duration
 
-	mu        sync.Mutex
-	buckets   map[int64][]time.Duration // raw samples, recent windows only
-	finalized map[int64]WindowStats     // summarized, evicted windows
-	retention int64                     // horizon in windows
-	maxIdx    int64                     // newest window seen
-	late      int64                     // dropped late observations
+	epochOnce sync.Once
 	epoch     time.Time
-	started   bool
+
+	next   atomic.Uint64 // round-robin shard cursor
+	maxIdx atomic.Int64  // newest window seen
+	floor  atomic.Int64  // windows ≤ floor are summarized (or in progress)
+	late   atomic.Int64
+
+	shards []recorderShard
+
+	fmu       sync.Mutex
+	finalized map[int64]WindowStats
 }
 
-// NewLatencyRecorder returns a recorder with the given window size
-// (typically one second, per the paper's SLA definition) and the default
-// retention horizon.
-func NewLatencyRecorder(window time.Duration) *LatencyRecorder {
+// recorderShard is one stripe: a mutex plus its own window→samples map,
+// padded so neighboring shards do not share a cache line.
+type recorderShard struct {
+	mu      sync.Mutex
+	buckets map[int64][]time.Duration
+	_       [40]byte
+}
+
+// defaultShards sizes the stripe count to the machine (a power of two so
+// the shard pick is a mask, capped to keep merge-on-read cheap).
+func defaultShards() int {
+	n := 1
+	for n < runtime.GOMAXPROCS(0) && n < 32 {
+		n <<= 1
+	}
+	return n
+}
+
+// NewShardedRecorder returns a recorder with the given window size
+// (typically one second, per the paper's SLA definition). Shard count
+// scales with GOMAXPROCS.
+func NewShardedRecorder(window time.Duration) *ShardedRecorder {
 	if window <= 0 {
 		window = time.Second
 	}
-	r := &LatencyRecorder{
+	s := &ShardedRecorder{
 		window:    window,
-		buckets:   make(map[int64][]time.Duration),
+		shards:    make([]recorderShard, defaultShards()),
 		finalized: make(map[int64]WindowStats),
 	}
-	r.setRetentionLocked(DefaultRetention)
-	return r
-}
-
-// SetRetention changes the retention horizon: windows ending more than
-// horizon behind the newest observation are summarized and their raw
-// samples evicted. A horizon below one window keeps a single raw window.
-func (r *LatencyRecorder) SetRetention(horizon time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setRetentionLocked(horizon)
-	r.evictLocked()
-}
-
-func (r *LatencyRecorder) setRetentionLocked(horizon time.Duration) {
-	n := int64(horizon / r.window)
-	if n < 1 {
-		n = 1
+	for i := range s.shards {
+		s.shards[i].buckets = make(map[int64][]time.Duration)
 	}
-	r.retention = n
+	s.maxIdx.Store(-1)
+	s.floor.Store(-1)
+	return s
 }
 
 // Record adds one latency observation at the given time.
-func (r *LatencyRecorder) Record(at time.Time, latency time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.started {
-		r.epoch = at
-		r.started = true
-	}
-	idx := int64(at.Sub(r.epoch) / r.window)
-	if _, done := r.finalized[idx]; done || idx <= r.maxIdx-r.retention {
-		r.late++
+func (s *ShardedRecorder) Record(at time.Time, latency time.Duration) {
+	s.epochOnce.Do(func() { s.epoch = at })
+	idx := int64(at.Sub(s.epoch) / s.window)
+	sh := &s.shards[s.next.Add(1)&uint64(len(s.shards)-1)]
+	sh.mu.Lock()
+	// The floor check happens under the shard lock: eviction advances the
+	// floor while holding every shard lock, so a sample appended here can
+	// never belong to a window eviction already swept.
+	if idx <= s.floor.Load() {
+		sh.mu.Unlock()
+		s.late.Add(1)
 		return
 	}
-	r.buckets[idx] = append(r.buckets[idx], latency)
-	if idx > r.maxIdx {
-		r.maxIdx = idx
-		r.evictLocked()
-	}
-}
-
-// evictLocked summarizes and frees raw windows older than the horizon.
-func (r *LatencyRecorder) evictLocked() {
-	for idx, lat := range r.buckets {
-		if idx <= r.maxIdx-r.retention {
-			r.finalized[idx] = r.summarize(idx, lat)
-			delete(r.buckets, idx)
+	sh.buckets[idx] = append(sh.buckets[idx], latency)
+	sh.mu.Unlock()
+	for {
+		m := s.maxIdx.Load()
+		if idx <= m {
+			return
+		}
+		if s.maxIdx.CompareAndSwap(m, idx) {
+			s.evict()
+			return
 		}
 	}
 }
 
-// summarize computes one window's statistics.
-func (r *LatencyRecorder) summarize(idx int64, lat []time.Duration) WindowStats {
-	return summarizeWindow(r.epoch, r.window, idx, lat)
+// evict summarizes and frees raw windows older than the horizon. Only the
+// Record that advanced maxIdx pays this cost — once per window boundary,
+// not per sample.
+func (s *ShardedRecorder) evict() {
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	target := s.maxIdx.Load() - retainedWindows
+	if target <= s.floor.Load() {
+		return
+	}
+	// Collect every stale window's samples from all shards. Holding all
+	// shard locks while advancing the floor makes the sweep atomic with
+	// respect to Record's floor check.
+	merged := make(map[int64][]time.Duration)
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	s.floor.Store(target)
+	for i := range s.shards {
+		for idx, lat := range s.shards[i].buckets {
+			if idx <= target {
+				merged[idx] = append(merged[idx], lat...)
+				delete(s.shards[i].buckets, idx)
+			}
+		}
+	}
+	for i := range s.shards {
+		s.shards[i].mu.Unlock()
+	}
+	for idx, lat := range merged {
+		s.finalized[idx] = summarizeWindow(s.epoch, s.window, idx, lat)
+	}
+}
+
+// merge returns all still-raw windows combined across shards. Caller must
+// not hold any shard lock.
+func (s *ShardedRecorder) merge() map[int64][]time.Duration {
+	out := make(map[int64][]time.Duration)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for idx, lat := range sh.buckets {
+			out[idx] = append(out[idx], lat...)
+		}
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 // Count returns the total number of recorded observations (summarized
 // windows included).
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (s *ShardedRecorder) Count() int {
 	n := 0
-	for _, b := range r.buckets {
-		n += len(b)
+	for _, lat := range s.merge() {
+		n += len(lat)
 	}
-	for _, ws := range r.finalized {
+	s.fmu.Lock()
+	for _, ws := range s.finalized {
 		n += ws.Count
 	}
+	s.fmu.Unlock()
 	return n
 }
 
 // LateDropped returns the number of observations dropped because their
 // window had already been summarized and evicted.
-func (r *LatencyRecorder) LateDropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.late
-}
+func (s *ShardedRecorder) LateDropped() int64 { return s.late.Load() }
 
 // RawWindows returns the number of windows still holding raw samples
 // (bounded by the retention horizon).
-func (r *LatencyRecorder) RawWindows() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buckets)
-}
+func (s *ShardedRecorder) RawWindows() int { return len(s.merge()) }
 
 // Windows returns per-window summaries in time order, merging summarized
 // and still-raw windows.
-func (r *LatencyRecorder) Windows() []WindowStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idxs := make([]int64, 0, len(r.buckets)+len(r.finalized))
-	for i := range r.buckets {
-		idxs = append(idxs, i)
+func (s *ShardedRecorder) Windows() []WindowStats {
+	// Pin the epoch if no observation has: reading it below must not race
+	// with a first concurrent Record.
+	s.epochOnce.Do(func() { s.epoch = time.Now() })
+	raw := s.merge()
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	idxs := make([]int64, 0, len(raw)+len(s.finalized))
+	for i := range raw {
+		if _, done := s.finalized[i]; !done {
+			idxs = append(idxs, i)
+		}
 	}
-	for i := range r.finalized {
+	for i := range s.finalized {
 		idxs = append(idxs, i)
 	}
 	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
 	out := make([]WindowStats, 0, len(idxs))
 	for _, i := range idxs {
-		if ws, ok := r.finalized[i]; ok {
+		if ws, ok := s.finalized[i]; ok {
 			out = append(out, ws)
 			continue
 		}
-		out = append(out, r.summarize(i, r.buckets[i]))
+		out = append(out, summarizeWindow(s.epoch, s.window, i, raw[i]))
 	}
 	return out
+}
+
+// summarizeWindow computes one window's statistics.
+func summarizeWindow(epoch time.Time, window time.Duration, idx int64, lat []time.Duration) WindowStats {
+	sorted := make([]float64, len(lat))
+	var sum, max time.Duration
+	for j, l := range lat {
+		sorted[j] = float64(l)
+		sum += l
+		if l > max {
+			max = l
+		}
+	}
+	sort.Float64s(sorted)
+	ws := WindowStats{
+		Start: epoch.Add(time.Duration(idx) * window),
+		Count: len(lat),
+		P50:   time.Duration(percentileSorted(sorted, 50)),
+		P95:   time.Duration(percentileSorted(sorted, 95)),
+		P99:   time.Duration(percentileSorted(sorted, 99)),
+		Max:   max,
+	}
+	if len(lat) > 0 {
+		ws.Mean = sum / time.Duration(len(lat))
+	}
+	return ws
 }
 
 // SLAReport counts, per percentile, the number of windows whose percentile

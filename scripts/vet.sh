@@ -13,12 +13,19 @@
 # nobody having decided that. (Current full-tree runtime is ~3s; the budget
 # is headroom, not a target.)
 #
+# Suppressions are counted too: every //pstore:ignore in non-test,
+# non-testdata Go code is a place the design argues with its own
+# invariants. The count is printed, and the gate fails above
+# IGNORE_CEILING. Lower the ceiling when a change removes suppressions;
+# raising it is a design decision, not a fix.
+#
 # Usage: scripts/vet.sh [packages...]   (default ./...)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PKGS=("${@:-./...}")
 VET_BUDGET_SECS=60
+IGNORE_CEILING=52
 
 echo "== gofmt"
 out=$(gofmt -l .)
@@ -48,5 +55,16 @@ timeout "${VET_BUDGET_SECS}s" "$BIN" -stale "${PKGS[@]}" || {
 }
 elapsed=$((SECONDS - start))
 echo "pstore-vet completed in ${elapsed}s (budget ${VET_BUDGET_SECS}s)"
+
+# A suppression is a comment that begins with //pstore:ignore and names a
+# check; prose that mentions the marker mid-comment does not count.
+echo "== //pstore:ignore suppressions (ceiling ${IGNORE_CEILING})"
+ignores=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+  '^([^/]|/[^/])*//pstore:ignore [a-z]' . | wc -l)
+echo "${ignores} suppressions"
+if [ "$ignores" -gt "$IGNORE_CEILING" ]; then
+  echo "//pstore:ignore count ${ignores} exceeds the ceiling ${IGNORE_CEILING}" >&2
+  exit 1
+fi
 
 echo "ok"
