@@ -186,15 +186,6 @@ type Cluster struct {
 	events     *metrics.Events
 	moveStalls *metrics.DurationHist
 
-	// migrating tracks buckets currently in a pre-copy move: still owned
-	// and served by their source partition, but with write capture active.
-	// Routing (Call) never consults it — pre-copy's whole point is that the
-	// request path is untouched until the final flip — it exists for
-	// observability and for planners that want to avoid re-scheduling a
-	// bucket already in flight.
-	migratingMu sync.Mutex
-	migrating   map[int]bool
-
 	reconfigMu sync.Mutex
 	reconfig   bool
 }
@@ -229,7 +220,6 @@ func New(cfg Config) (*Cluster, error) {
 		allocLog:   metrics.NewAllocationTracker(time.Now(), cfg.InitialNodes),
 		events:     metrics.NewEvents(),
 		moveStalls: metrics.NewDurationHist(),
-		migrating:  make(map[int]bool),
 	}
 	if cfg.ReplicationFactor > 0 {
 		if err := c.initReplication(); err != nil {
@@ -923,35 +913,8 @@ func (c *Cluster) SetOwner(bucket, partition int) {
 	c.publishRoutingLocked()
 }
 
-// SetMigrating marks or unmarks a bucket as being pre-copied: still owned
-// and served at its source, with write capture active. The migrator brackets
-// each phased move with it; the request path never reads this state.
-func (c *Cluster) SetMigrating(bucket int, on bool) {
-	c.migratingMu.Lock()
-	if on {
-		c.migrating[bucket] = true
-	} else {
-		delete(c.migrating, bucket)
-	}
-	c.migratingMu.Unlock()
-}
-
-// IsMigrating reports whether the bucket is currently in a pre-copy move.
-func (c *Cluster) IsMigrating(bucket int) bool {
-	c.migratingMu.Lock()
-	defer c.migratingMu.Unlock()
-	return c.migrating[bucket]
-}
-
-// MigratingCount returns the number of buckets currently in pre-copy moves.
-func (c *Cluster) MigratingCount() int {
-	c.migratingMu.Lock()
-	defer c.migratingMu.Unlock()
-	return len(c.migrating)
-}
-
 // MoveStalls is the histogram of per-bucket-move foreground stall windows
-// (source detach → durable destination commit) — the paper's effective-
+// (source extraction → durable destination apply) — the paper's effective-
 // capacity cost of a reconfiguration, measured directly.
 func (c *Cluster) MoveStalls() *metrics.DurationHist { return c.moveStalls }
 

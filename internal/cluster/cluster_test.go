@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pstore/internal/durability"
 	"pstore/internal/engine"
 	"pstore/internal/metrics"
 	"pstore/internal/storage"
@@ -203,6 +204,37 @@ func TestClusterLoadRow(t *testing.T) {
 	// LoadRow must not count toward offered load or latencies.
 	if c.OfferedLoad().Total() != 1 {
 		t.Errorf("offered = %d, want 1 (only the Get)", c.OfferedLoad().Total())
+	}
+}
+
+// TestRecoverRefusesOutOfRangeBucket: a CRC-valid snapshot whose bucket
+// frame names bucket NBuckets must make recovery return an error, not
+// install a bucket that indexes past the routing table.
+func TestRecoverRefusesOutOfRangeBucket(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+
+	mgr, err := durability.Open(c.partitionDir(0), 0, cfg.Durability)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := storage.NewPartition(0, cfg.NBuckets, []int{cfg.NBuckets})
+	part.CreateTable("T")
+	if err := mgr.Snapshot(part); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if c2, err := New(cfg); err == nil {
+		c2.Stop()
+		t.Fatalf("recovery accepted a snapshot naming bucket %d of %d", cfg.NBuckets, cfg.NBuckets)
 	}
 }
 

@@ -251,6 +251,50 @@ func FuzzWALSegment(f *testing.F) {
 	})
 }
 
+// snapshotBytes encodes part's snapshot exactly as Manager.Snapshot writes
+// it to disk.
+func snapshotBytes(t testing.TB, part *storage.Partition) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	if err := writeSnapshotFrames(w, part, 3, 42); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzReadSnapshot: loading arbitrary snapshot bytes never panics and never
+// leaves the partition owning a bucket outside [0, NBuckets). Bucket ids
+// come straight off the disk, and cluster recovery indexes its routing
+// table with whatever the partition ends up owning.
+func FuzzReadSnapshot(f *testing.F) {
+	const nBuckets = 8
+	full := newTestPartition(nBuckets)
+	full.CreateTable("u")
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if err := full.Put("t", key, map[string]string{"v": key, "w": fmt.Sprint(i)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(snapshotBytes(f, full))
+	f.Add(snapshotBytes(f, storage.NewPartition(0, nBuckets, nil)))
+	// CRC-valid frames naming bucket NBuckets, and an id that wraps negative.
+	f.Add(snapshotBytes(f, storage.NewPartition(0, nBuckets, []int{nBuckets})))
+	f.Add(snapshotBytes(f, storage.NewPartition(0, nBuckets, []int{2, -1})))
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		part := storage.NewPartition(0, nBuckets, nil)
+		if _, _, err := readSnapshot(bufio.NewReader(bytes.NewReader(snap)), part); err != nil {
+			return
+		}
+		for _, b := range part.OwnedBuckets() {
+			if b < 0 || b >= nBuckets {
+				t.Fatalf("snapshot load left the partition owning bucket %d of %d", b, nBuckets)
+			}
+		}
+	})
+}
+
 // TestLogKeepsLSNOrderAcrossWriters: a migration logs its handoff record
 // from its own goroutine while the executor keeps appending. LSN assignment
 // and the log write are one step, so the log holds LSNs 1..n in order.

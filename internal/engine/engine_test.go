@@ -160,20 +160,20 @@ func TestExecutorDoMigrationWork(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Call(&Txn{Proc: "Put", Key: fmt.Sprintf("k%d", i), Args: map[string]string{"v": "x"}})
 	}
-	var data *storage.BucketData
+	var pages *storage.BucketPages
 	err := e.Do(func(p *storage.Partition) (int, error) {
 		var err error
-		data, err = p.ExtractBucket(p.OwnedBuckets()[0])
+		pages, err = p.ExtractBucketPages(p.OwnedBuckets()[0])
 		if err != nil {
 			return 0, err
 		}
-		return data.RowCount(), nil
+		return pages.RowCount(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.MigratedRows() != int64(data.RowCount()) {
-		t.Errorf("MigratedRows = %d, want %d", e.MigratedRows(), data.RowCount())
+	if e.MigratedRows() != int64(pages.RowCount()) {
+		t.Errorf("MigratedRows = %d, want %d", e.MigratedRows(), pages.RowCount())
 	}
 }
 

@@ -17,29 +17,23 @@ import (
 // hot key in the moving bucket and records end-to-end wall latency (queueing
 // and routing retries included) while the bucket ping-pongs between two
 // partitions on the same node. The p99 of those samples is the per-move
-// stall the pre-copy protocol exists to shrink — O(bucket) for the legacy
-// stop-and-copy path, O(residual delta) plus one copy slice of queueing for
-// pre-copy. MigrationRowCost makes row transfer time physical, so the two
-// paths are compared on identical work.
+// stall: O(residual delta) plus one copy slice of queueing.
+// MigrationRowCost makes row transfer time physical: the hot bucket costs
+// 30ms to stream (hotRows × MigrationRowCost), in visits of at most
+// sliceRows rows.
 //
 // Reported metrics:
 //
 //	p99stall_ns — 99th percentile foreground Get latency during moves
 //	move_ns     — mean end-to-end time of one bucket move
 func BenchmarkMigrationStall(b *testing.B) {
-	b.Run("stopandcopy", func(b *testing.B) { runMigrationStallBench(b, true) })
-	b.Run("precopy", func(b *testing.B) { runMigrationStallBench(b, false) })
+	b.Run("precopy", runMigrationStallBench)
 }
 
-func runMigrationStallBench(b *testing.B, stopAndCopy bool) {
-	// Sized so synthetic work dwarfs the host's timer granularity: the hot
-	// bucket costs 30ms to extract or apply wholesale (hotRows ×
-	// MigrationRowCost), while a pre-copy slice bounds any single executor
-	// visit to 6ms.
+func runMigrationStallBench(b *testing.B) {
 	const (
-		nBuckets  = 8
-		hotRows   = 30000
-		sliceRows = 6000
+		nBuckets = 8
+		hotRows  = 30000
 	)
 	c, err := cluster.New(cluster.Config{
 		InitialNodes:      1,
@@ -103,7 +97,7 @@ func runMigrationStallBench(b *testing.B, stopAndCopy bool) {
 		}
 	}()
 
-	opts := Options{StopAndCopy: stopAndCopy, CopySliceRows: sliceRows, MoveRetries: -1, Seed: 1}.normalized()
+	opts := Options{MoveRetries: -1, Seed: 1}.normalized()
 	m := newHandle(opts)
 	b.ResetTimer()
 	moveStart := time.Now()

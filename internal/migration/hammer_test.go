@@ -11,6 +11,7 @@ import (
 	"pstore/internal/cluster"
 	"pstore/internal/engine"
 	"pstore/internal/metrics"
+	"pstore/internal/storage"
 )
 
 // TestHammerWritesDuringMove is the pre-copy protocol's correctness gauntlet:
@@ -165,7 +166,6 @@ func TestHammerFaultMidDrainRollbackAndResume(t *testing.T) {
 	victim := -1
 	opts := fastOpts()
 	opts.MoveRetries = 1
-	opts.MoveBackoff = time.Millisecond
 	opts.Seed = 7
 	opts.FaultHook = func(bucket, from, to int) error {
 		mu.Lock()
@@ -210,8 +210,21 @@ func TestHammerFaultMidDrainRollbackAndResume(t *testing.T) {
 		t.Errorf("aborted pre-copy changed content: %x/%d → %x/%d", sumBefore, rowsBefore, sumMid, rowsMid)
 	}
 	verifyKeys(t, c, 200)
-	if c.MigratingCount() != 0 {
-		t.Errorf("MigratingCount = %d after failed run, want 0", c.MigratingCount())
+	mu.Lock()
+	bucket := victim
+	mu.Unlock()
+	for _, n := range c.Nodes() {
+		for _, pid := range n.Partitions {
+			exec, _ := c.ExecutorOf(pid)
+			if err := exec.Do(func(p *storage.Partition) (int, error) {
+				if p.Capturing(bucket) || p.Staged(bucket) != nil {
+					t.Errorf("partition %d still capturing or staging bucket %d after the failed run", pid, bucket)
+				}
+				return 0, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	outage.Store(false)
@@ -266,7 +279,7 @@ func TestRunCancelsSleepingPairsOnFailure(t *testing.T) {
 	verifyKeys(t, c, 200)
 }
 
-// TestSeededBackoffDeterministic pins the satellite contract that a pinned
+// TestSeededBackoffDeterministic pins the contract that a pinned
 // Options.Seed makes retry-backoff jitter reproducible (PSTORE_CHAOS_SEED
 // chaos runs replay byte-identically), while distinct seeds diverge.
 func TestSeededBackoffDeterministic(t *testing.T) {
@@ -274,7 +287,7 @@ func TestSeededBackoffDeterministic(t *testing.T) {
 		rng := newLockedRand(seed)
 		out := make([]time.Duration, 12)
 		for i := range out {
-			out[i] = backoff(rng, time.Millisecond, i%6)
+			out[i] = backoff(rng, i%6)
 		}
 		return out
 	}
@@ -292,7 +305,7 @@ func TestSeededBackoffDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical jitter sequences")
 	}
 	for i, d := range a {
-		base := time.Millisecond << uint(i%6)
+		base := retryBackoff << uint(i%6)
 		if d < base/2 || d > base+base/2 {
 			t.Errorf("backoff[%d] = %v outside ±50%% of %v", i, d, base)
 		}

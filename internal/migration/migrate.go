@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"pstore/internal/cluster"
-	"pstore/internal/engine"
 	"pstore/internal/metrics"
 	"pstore/internal/plan"
 	"pstore/internal/storage"
@@ -45,35 +44,11 @@ type Options struct {
 	// ChunkInterval. Default 1.
 	RateMultiplier int
 	// MoveRetries is how many times a failed bucket move is retried (with
-	// jittered exponential backoff) before the reconfiguration gives up.
-	// Reconfiguration runs exactly when nodes stall and queues overflow, so
-	// a transient extract/apply failure must not abort the whole move.
-	// Default 3; negative disables retries.
+	// jittered exponential backoff from retryBackoff) before the
+	// reconfiguration gives up. Reconfiguration runs exactly when nodes
+	// stall and queues overflow, so a transient failure must not abort the
+	// whole move. Default 3; negative disables retries.
 	MoveRetries int
-	// MoveBackoff is the base delay before the first move retry; each
-	// further retry doubles it, with ±50% jitter. Default 5ms.
-	MoveBackoff time.Duration
-	// StopAndCopy selects the legacy single-shot move: extract the whole
-	// bucket in one executor visit, repoint, apply in one visit. Off by
-	// default — moves run the pre-copy / delta-drain / atomic-flip protocol,
-	// whose foreground stall is O(residual delta) instead of O(bucket).
-	// Kept as a flag so benchmarks and ablations can price the difference.
-	StopAndCopy bool
-	// CopySliceRows bounds how many rows a single pre-copy executor visit
-	// may stream, so bulk copying never occupies the source or destination
-	// executor for more than ~CopySliceRows·MigrationRowCost at a time.
-	// Default storage.DefaultCopySliceRows.
-	CopySliceRows int
-	// DeltaThreshold is the residual-delta size (captured writes not yet
-	// replayed at the destination) below which the migrator stops draining
-	// and performs the final flip. The flip pause is O(threshold + writes
-	// arriving during it). Default 16; negative means flip only on an
-	// empty residual.
-	DeltaThreshold int
-	// DeltaMaxRounds caps delta-drain rounds per move, so a write rate that
-	// outruns draining cannot pre-copy forever — after this many rounds the
-	// move flips and absorbs whatever residual remains. Default 6.
-	DeltaMaxRounds int
 	// Seed fixes the PRNG behind retry-backoff jitter so chaos runs pinned
 	// via PSTORE_CHAOS_SEED replay with identical retry spacing. Zero draws
 	// a nondeterministic seed.
@@ -83,7 +58,6 @@ type Options struct {
 	// delta draining), and between the routing repoint and the destination
 	// commit. A non-nil error fails the attempt at that point — the later
 	// sites exercise the capture-abort and post-repoint rollback paths.
-	// (The legacy stop-and-copy path has only the first and last sites.)
 	// Chaos tests wire faultinject.Injector.MoveFault here; production
 	// leaves it nil.
 	FaultHook func(bucket, fromPart, toPart int) error
@@ -105,20 +79,6 @@ func (o Options) normalized() Options {
 		o.MoveRetries = 3
 	} else if o.MoveRetries < 0 {
 		o.MoveRetries = 0
-	}
-	if o.MoveBackoff <= 0 {
-		o.MoveBackoff = 5 * time.Millisecond
-	}
-	if o.CopySliceRows <= 0 {
-		o.CopySliceRows = storage.DefaultCopySliceRows
-	}
-	if o.DeltaThreshold == 0 {
-		o.DeltaThreshold = 16
-	} else if o.DeltaThreshold < 0 {
-		o.DeltaThreshold = 0
-	}
-	if o.DeltaMaxRounds <= 0 {
-		o.DeltaMaxRounds = 6
 	}
 	o.BucketsPerChunk *= o.RateMultiplier
 	o.ChunkInterval /= time.Duration(o.RateMultiplier)
@@ -677,20 +637,16 @@ func (m *Migration) moveBucket(c *cluster.Cluster, mv bucketMove, opts Options) 
 	if m.isMoved(mv.bucket) {
 		return nil // resumed run: this bucket already landed
 	}
-	move := m.moveBucketPreCopy
-	if opts.StopAndCopy {
-		move = m.moveBucketOnce
-	}
 	var lastErr error
 	for attempt := 0; attempt <= opts.MoveRetries; attempt++ {
 		if attempt > 0 {
 			m.retries.Add(1)
 			c.Events().Add(metrics.EventMoveRetries, 1)
-			if !m.sleep(backoff(m.rng, opts.MoveBackoff, attempt-1)) {
+			if !m.sleep(backoff(m.rng, attempt-1)) {
 				break // run already failed elsewhere; stop retrying
 			}
 		}
-		err := move(c, mv)
+		err := m.moveBucketPreCopy(c, mv)
 		if err == nil {
 			return nil
 		}
@@ -706,127 +662,14 @@ func (m *Migration) moveBucket(c *cluster.Cluster, mv bucketMove, opts Options) 
 // ±50% jitter, so concurrent transfer pairs retrying against the same
 // stalled node do not retry in lockstep. Jitter comes from the migration's
 // seeded source, keeping pinned chaos runs reproducible.
-func backoff(rng *lockedRand, base time.Duration, retry int) time.Duration {
+func backoff(rng *lockedRand, retry int) time.Duration {
 	if retry > 16 {
 		retry = 16
 	}
-	d := base << uint(retry)
+	d := retryBackoff << uint(retry)
 	half := int64(d) / 2
 	if half <= 0 {
 		return d
 	}
 	return time.Duration(half + rng.Int63n(2*half))
-}
-
-// moveBucketOnce is one attempt of the legacy stop-and-copy move, kept
-// behind Options.StopAndCopy for ablation and benchmarking: extract at the
-// source, repoint routing, apply at the destination. Both executor visits
-// move the bucket's arena pages by reference (O(tables) pointer moves, plus
-// a schema re-encode at the destination only when field IDs differ), but
-// unlike moveBucketPreCopy the bucket is unavailable from extract to apply
-// — the stall spans the whole handoff instead of the residual delta.
-// Transactions for the bucket arriving in between
-// retry until the apply lands (a window bounded by cluster.Config
-// RetryAttempts/RetryBudget and counted in Events as migration retries).
-// On an apply failure the bucket is rolled back — routing repointed at the
-// source and the extracted data re-applied there — so the attempt leaves
-// the cluster exactly as it found it.
-//
-// With durability on, the handoff is logged receiver-first: the bucket's
-// full contents go into the receiver's command log (so its log alone can
-// rebuild the bucket — it "starts consistent") before the sender logs the
-// bucket out. A crash between the two leaves both partitions claiming the
-// bucket; cluster recovery resolves that in the receiver's favor, so the
-// handoff never loses data.
-func (m *Migration) moveBucketOnce(c *cluster.Cluster, mv bucketMove) error {
-	srcExec, ok := c.ExecutorOf(mv.fromPart)
-	if !ok {
-		return fmt.Errorf("migration: no executor for source partition %d", mv.fromPart)
-	}
-	dstExec, ok := c.ExecutorOf(mv.toPart)
-	if !ok {
-		return fmt.Errorf("migration: no executor for destination partition %d", mv.toPart)
-	}
-	if hook := m.opts.FaultHook; hook != nil {
-		if err := hook(mv.bucket, mv.fromPart, mv.toPart); err != nil {
-			return fmt.Errorf("before extracting bucket %d: %w", mv.bucket, err)
-		}
-	}
-	var pages *storage.BucketPages
-	err := srcExec.Do(func(p *storage.Partition) (int, error) {
-		var err error
-		pages, err = p.ExtractBucketPages(mv.bucket)
-		if err != nil {
-			return 0, err
-		}
-		return pages.RowCount(), nil
-	})
-	if err != nil {
-		return fmt.Errorf("migration: extracting bucket %d from partition %d: %w", mv.bucket, mv.fromPart, err)
-	}
-	c.SetOwner(mv.bucket, mv.toPart)
-	dstMgr := c.HandoffOf(mv.toPart)
-	if hook := m.opts.FaultHook; hook != nil {
-		// Second injection site: the bucket is extracted and routing points
-		// at the destination — a failure here must roll back.
-		err = hook(mv.bucket, mv.fromPart, mv.toPart)
-	}
-	if err == nil {
-		err = dstExec.Do(func(p *storage.Partition) (int, error) {
-			if dstMgr != nil {
-				// Durable before visible: once transactions run against the
-				// bucket here, its arrival is already on the receiver's disk.
-				// Only this durable record pays the O(rows) materialization —
-				// the in-memory handoff below moves pages by reference.
-				if err := dstMgr.LogBucketIn(pages.Data()); err != nil {
-					return 0, err
-				}
-			}
-			if err := p.ApplyBucketPages(pages); err != nil {
-				return 0, err
-			}
-			return pages.RowCount(), nil
-		})
-	}
-	if err != nil {
-		applyErr := fmt.Errorf("migration: applying bucket %d to partition %d: %w", mv.bucket, mv.toPart, err)
-		if rbErr := m.rollback(c, srcExec, mv, pages); rbErr != nil {
-			return fmt.Errorf("%w after %v: %w", errRollbackFailed, applyErr, rbErr)
-		}
-		return applyErr
-	}
-	// The bucket now lives at the destination: record progress before the
-	// sender-side handoff log, so a failure below is reported but never
-	// re-moves the bucket (recovery resolves dual claims in the receiver's
-	// favor, matching this choice).
-	m.markMoved(mv.bucket)
-	m.movedBuckets.Add(1)
-	m.movedRows.Add(int64(pages.RowCount()))
-	if srcMgr := c.HandoffOf(mv.fromPart); srcMgr != nil {
-		if err := srcMgr.LogBucketOut(mv.bucket); err != nil {
-			return fmt.Errorf("%w: logging bucket %d out of partition %d: %w",
-				errRollbackFailed, mv.bucket, mv.fromPart, err)
-		}
-	}
-	return nil
-}
-
-// rollback returns an extracted bucket to its source partition and repoints
-// routing back, undoing a half-completed move attempt. The pages go home by
-// reference — and verbatim, since they are still encoded against the
-// source's own schemas.
-func (m *Migration) rollback(c *cluster.Cluster, srcExec *engine.Executor, mv bucketMove, pages *storage.BucketPages) error {
-	c.SetOwner(mv.bucket, mv.fromPart)
-	err := srcExec.Do(func(p *storage.Partition) (int, error) {
-		if err := p.ApplyBucketPages(pages); err != nil {
-			return 0, err
-		}
-		return pages.RowCount(), nil
-	})
-	if err != nil {
-		return fmt.Errorf("restoring bucket %d to partition %d: %w", mv.bucket, mv.fromPart, err)
-	}
-	m.rollbacks.Add(1)
-	c.Events().Add(metrics.EventMoveRollbacks, 1)
-	return nil
 }

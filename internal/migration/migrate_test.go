@@ -337,17 +337,17 @@ func TestBalanceEvensSkewedOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range buckets {
-		var data *storage.BucketData
+		var pages *storage.BucketPages
 		if err := src.Do(func(p *storage.Partition) (int, error) {
 			var err error
-			data, err = p.ExtractBucket(b)
+			pages, err = p.ExtractBucketPages(b)
 			return 0, err
 		}); err != nil {
 			t.Fatal(err)
 		}
 		c.SetOwner(b, 1)
 		if err := dst.Do(func(p *storage.Partition) (int, error) {
-			return 0, p.ApplyBucket(data)
+			return 0, p.ApplyBucketPages(pages)
 		}); err != nil {
 			t.Fatal(err)
 		}

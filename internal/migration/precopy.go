@@ -9,43 +9,62 @@ import (
 	"pstore/internal/storage"
 )
 
+// The move's fixed costs. No caller tunes them; they are named so the
+// protocol below reads in their terms.
+const (
+	// sliceRows bounds how many rows one pre-copy executor visit streams,
+	// so bulk copying never occupies the source or destination executor for
+	// more than ~sliceRows·MigrationRowCost at a time.
+	sliceRows = 256
+	// flipResidual is the residual delta (captured writes not yet replayed
+	// at the destination) at or below which draining stops and the flip
+	// runs. The flip pause is O(flipResidual + writes arriving during it).
+	flipResidual = 16
+	// maxDeltaRounds caps delta-drain rounds per move, so a write rate that
+	// outruns draining cannot pre-copy forever: after this many rounds the
+	// move flips and absorbs whatever residual remains.
+	maxDeltaRounds = 6
+	// retryBackoff is the base delay before the first retry of a failed
+	// move; each further retry doubles it, with ±50% jitter.
+	retryBackoff = 5 * time.Millisecond
+)
+
 // moveBucketPreCopy is one attempt of the pre-copy / delta-drain /
-// atomic-flip protocol — the default bucket move. Where the legacy
-// stop-and-copy attempt (moveBucketOnce) holds the source executor for the
-// whole extraction and the destination for the whole application, this
-// attempt touches the executors only in bounded visits:
+// atomic-flip protocol, the only bucket move. It touches the executors only
+// in bounded visits:
 //
 //	Phase 1 — pre-copy. The source marks the bucket migrating and starts
 //	capturing its writes into an ordered delta log (storage.BeginCapture),
 //	then streams the bucket's snapshot to the destination in slices of at
-//	most CopySliceRows rows. Slices travel through the executors'
+//	most sliceRows rows, staged there as BucketPages encoded against the
+//	destination's own schemas. Slices travel through the executors'
 //	background lane (engine.DoBackground), behind queued transactions, so
 //	foreground latency sees at most one slice of interference. The bucket
 //	keeps serving reads and writes at the source throughout.
 //
 //	Phase 2 — delta drain. Captured writes are drained in rounds and
-//	replayed onto the destination's staging area in capture order. Each
+//	replayed onto the destination's staged pages in capture order. Each
 //	round shrinks the residual to the writes that arrived during the
 //	round, so under any write rate the drain converges geometrically; the
-//	loop stops when the residual is ≤ DeltaThreshold or DeltaMaxRounds is
+//	loop stops when the residual is ≤ flipResidual or maxDeltaRounds is
 //	hit.
 //
-//	Phase 3 — atomic flip. The only stop-the-world step: the source
-//	detaches the bucket (O(tables) pointer moves + the final residual
-//	delta), routing repoints, and the destination overlays the final
-//	delta, logs the assembled bucket receiver-first (durable before
-//	visible, exactly as stop-and-copy does), and commits the staged maps
-//	by reference. The foreground stall is O(residual delta), not
-//	O(bucket), and is recorded in the cluster's MoveStalls histogram.
+//	Phase 3 — atomic flip. The only stop-the-world step: the source drains
+//	the final residual and extracts the bucket's pages (O(tables) pointer
+//	moves), routing repoints, and the destination stages the residual,
+//	logs the staged pages' Data receiver-first (durable before visible)
+//	and installs them with ApplyBucketPages by reference. The foreground
+//	stall is O(residual delta), not O(bucket), and is recorded in the
+//	cluster's MoveStalls histogram.
 //
 // Failure anywhere before the flip aborts the capture and discards the
 // staging — the bucket never left the source, so the attempt leaves the
 // cluster exactly as it found it. Failure after the repoint rolls back by
-// reattaching the detached maps and repointing home; if that reattach
-// fails the error wraps errRollbackFailed and the retry loop treats the
-// move as terminal, same as the legacy path. The receiver-first durable
-// handoff, markMoved-before-LogBucketOut ordering, and crash-recovery
-// dual-claim resolution are all unchanged.
+// repointing home and applying the extracted pages at the source, by
+// reference since they carry the source's own schemas; if that fails the
+// error wraps errRollbackFailed and the retry loop treats the move as
+// terminal. The bucket is marked moved before the sender logs it out, and
+// crash recovery resolves a dual claim in the receiver's favor.
 func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 	srcExec, ok := c.ExecutorOf(mv.fromPart)
 	if !ok {
@@ -67,17 +86,15 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 	var slices []storage.CopySlice
 	err := srcExec.Do(func(p *storage.Partition) (int, error) {
 		var err error
-		slices, err = p.BeginCapture(mv.bucket, m.opts.CopySliceRows)
+		slices, err = p.BeginCapture(mv.bucket, sliceRows)
 		return 0, err
 	})
 	if err != nil {
 		return fmt.Errorf("migration: begin capture of bucket %d on partition %d: %w", mv.bucket, mv.fromPart, err)
 	}
-	c.SetMigrating(mv.bucket, true)
-	defer c.SetMigrating(mv.bucket, false)
 
 	// abortMove undoes everything an unflipped attempt did: capture state
-	// at the source, staged rows at the destination. The bucket stayed
+	// at the source, staged pages at the destination. The bucket stayed
 	// owned and live at the source the whole time, so this restores the
 	// pre-attempt state exactly.
 	abortMove := func() {
@@ -94,7 +111,7 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 	}
 
 	// Stream the snapshot slices through the background lane: each visit
-	// is bounded by CopySliceRows, and queued foreground transactions run
+	// is bounded by sliceRows, and queued foreground transactions run
 	// ahead of every slice.
 	copied := 0
 	for _, s := range slices {
@@ -139,12 +156,12 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 	// Phase 2: drain rounds until the residual delta is small enough to
 	// absorb inside the flip pause.
 	deltaRows := 0
-	for round := 0; round < m.opts.DeltaMaxRounds; round++ {
+	for round := 0; round < maxDeltaRounds; round++ {
 		c.Events().Add(metrics.EventDeltaRounds, 1)
 		var ops []storage.DeltaOp
 		err := srcExec.Do(func(p *storage.Partition) (int, error) {
 			var err error
-			ops, _, err = p.DrainDelta(mv.bucket, 0)
+			ops, err = p.DrainDelta(mv.bucket)
 			return len(ops), err
 		})
 		if err == nil && len(ops) > 0 {
@@ -168,31 +185,34 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 			abortMove()
 			return fmt.Errorf("migration: sizing residual delta of bucket %d: %w", mv.bucket, err)
 		}
-		if residual <= m.opts.DeltaThreshold {
+		if residual <= flipResidual {
 			break
 		}
 	}
 
-	// Phase 3: the flip. Everything between DetachBucket and CommitStaged
-	// is the foreground stall window — transactions for the bucket requeue
-	// through the cluster's bounded retry loop until the commit lands.
+	// Phase 3: the flip. Everything from the extraction to the destination's
+	// apply is the foreground stall window — transactions for the bucket
+	// requeue through the cluster's bounded retry loop until the apply lands.
 	stallStart := time.Now() //pstore:ignore seeddiscipline — stall-window observability only; never feeds a migration decision
-	var detached *storage.DetachedBucket
+	var pages *storage.BucketPages
 	var final []storage.DeltaOp
 	err = srcExec.Do(func(p *storage.Partition) (int, error) {
 		var err error
-		detached, final, err = p.DetachBucket(mv.bucket)
+		if final, err = p.DrainDelta(mv.bucket); err != nil {
+			return 0, err
+		}
+		pages, err = p.ExtractBucketPages(mv.bucket)
 		return len(final), err
 	})
 	if err != nil {
 		abortMove()
-		return fmt.Errorf("migration: detaching bucket %d from partition %d: %w", mv.bucket, mv.fromPart, err)
+		return fmt.Errorf("migration: extracting bucket %d from partition %d: %w", mv.bucket, mv.fromPart, err)
 	}
 	c.SetOwner(mv.bucket, mv.toPart)
 	dstMgr := c.HandoffOf(mv.toPart)
 	if hook != nil {
-		// Third injection site: the bucket is detached and routing points at
-		// the destination — a failure here must roll back the flip.
+		// Third injection site: the bucket is extracted and routing points
+		// at the destination — a failure here must roll back the flip.
 		err = hook(mv.bucket, mv.fromPart, mv.toPart)
 	}
 	committed := 0
@@ -201,34 +221,33 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 			if err := p.StageDelta(mv.bucket, final); err != nil {
 				return 0, err
 			}
+			staged := p.Staged(mv.bucket)
 			if dstMgr != nil {
 				// Durable before visible: the receiver's log can rebuild the
-				// assembled bucket before any transaction runs against it
-				// here — identical to the stop-and-copy handoff contract.
-				if err := dstMgr.LogBucketIn(p.StagedData(mv.bucket)); err != nil {
+				// assembled bucket before any transaction runs against it here.
+				if err := dstMgr.LogBucketIn(staged.Data()); err != nil {
 					return 0, err
 				}
 			}
-			var err error
-			committed, err = p.CommitStaged(mv.bucket)
-			// Charge only the final delta: the committed rows already paid
-			// their transfer cost when they streamed through StageRows, and
-			// CommitStaged itself is O(tables) pointer installs.
-			return len(final), err
+			committed = staged.RowCount()
+			// Charge only the final delta: the staged rows already paid their
+			// transfer cost when they streamed through StageRows, and the
+			// apply is O(tables) pointer installs.
+			return len(final), p.ApplyBucketPages(staged)
 		})
 	}
 	if err != nil {
 		applyErr := fmt.Errorf("migration: committing bucket %d to partition %d: %w", mv.bucket, mv.toPart, err)
 		c.SetOwner(mv.bucket, mv.fromPart)
 		rbErr := srcExec.Do(func(p *storage.Partition) (int, error) {
-			return 0, p.ReattachBucket(detached)
+			return 0, p.ApplyBucketPages(pages)
 		})
 		_ = dstExec.Do(func(p *storage.Partition) (int, error) {
 			p.DiscardStaged(mv.bucket)
 			return 0, nil
 		})
 		if rbErr != nil {
-			return fmt.Errorf("%w after %v: reattaching bucket %d to partition %d: %w",
+			return fmt.Errorf("%w after %v: restoring bucket %d to partition %d: %w",
 				errRollbackFailed, applyErr, mv.bucket, mv.fromPart, rbErr)
 		}
 		m.rollbacks.Add(1)

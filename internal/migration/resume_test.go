@@ -40,7 +40,6 @@ func TestMoveRetriesTransientFaults(t *testing.T) {
 	h := &transientHook{failN: 4}
 	opts := fastOpts()
 	opts.MoveRetries = 3
-	opts.MoveBackoff = time.Millisecond
 	opts.FaultHook = h.hook
 	rep, err := Run(c, 2, opts)
 	if err != nil {
@@ -82,7 +81,6 @@ func TestRollbackOnPostExtractFault(t *testing.T) {
 	victim := -1
 	opts := fastOpts()
 	opts.MoveRetries = 3
-	opts.MoveBackoff = time.Millisecond
 	opts.FaultHook = func(bucket, from, to int) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -124,7 +122,6 @@ func TestFailedMigrationReportsAndResumes(t *testing.T) {
 	victim.Store(-1)
 	opts := fastOpts()
 	opts.MoveRetries = 1
-	opts.MoveBackoff = time.Millisecond
 	opts.FaultHook = func(bucket, from, to int) error {
 		if !outage.Load() {
 			return nil
@@ -202,7 +199,6 @@ func TestResumeScaleInRemovesRetiredNodes(t *testing.T) {
 	var faults atomic.Int64
 	opts := fastOpts()
 	opts.MoveRetries = 1
-	opts.MoveBackoff = time.Millisecond
 	opts.FaultHook = func(bucket, from, to int) error {
 		if outage.Load() && faults.Add(1) > 6 {
 			return errors.New("sender stalling")

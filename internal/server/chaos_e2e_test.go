@@ -172,7 +172,6 @@ func TestChaosScaleOutEndToEnd(t *testing.T) {
 		BucketsPerChunk: 2,
 		ChunkInterval:   2 * time.Millisecond,
 		MoveRetries:     2,
-		MoveBackoff:     time.Millisecond,
 		FaultHook:       inj.MoveFault,
 		// Same seed as the injector: with PSTORE_CHAOS_SEED pinned, the
 		// retry-backoff jitter replays exactly like the fault schedule.

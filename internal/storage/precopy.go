@@ -1,8 +1,7 @@
-// Pre-copy live-migration primitives. A bucket relocation used to be
-// stop-and-copy: one ExtractBucket held the source executor for O(bucket)
-// and one ApplyBucket held the destination for the same, so the foreground
-// stall of every move scaled with bucket size. The primitives here let the
-// migrator run a copy-then-delta protocol instead:
+// Pre-copy live-migration primitives. Moving a bucket in one extract and
+// one apply would unhook it for the whole handoff; the primitives here let
+// the migrator copy it while it keeps serving and unhook it only for the
+// residual:
 //
 //  1. BeginCapture marks the bucket migrating and starts recording every
 //     subsequent Put/Delete against it into an ordered per-bucket delta
@@ -10,17 +9,18 @@
 //  2. CopyRows streams each slice (≤ sliceRows rows per executor visit)
 //     to the destination as a TupleBatch — encoded tuples aliased straight
 //     out of the bucket arena, no per-row cloning — which the destination
-//     accumulates with StageRows, outside its live tables, invisible to
-//     transactions.
+//     accumulates with StageRows into staged BucketPages, outside its live
+//     tables, invisible to transactions.
 //  3. DrainDelta pops the captured writes in rounds; StageDelta overlays
-//     them on the staged tuples in capture order, so the staging area
-//     converges on the live bucket while the bucket keeps serving.
-//  4. DetachBucket is the only stop-the-world moment: it unhooks the
-//     bucket's arenas (O(tables) pointer moves, no row copying), revokes
-//     ownership and returns the final residual delta — O(delta), not
-//     O(bucket). CommitStaged then installs the staged arenas at the
-//     destination by reference. ReattachBucket undoes a detach exactly,
-//     for the rollback path.
+//     them on the staged tuples in capture order, so the staged pages
+//     converge on the live bucket while the bucket keeps serving.
+//  4. The flip is the only stop-the-world moment: a last DrainDelta takes
+//     the residual and ExtractBucketPages unhooks the bucket's arenas
+//     (O(tables) pointer moves) and revokes ownership. The destination
+//     stages the residual and installs its staged pages with
+//     ApplyBucketPages — by reference, since they are encoded against its
+//     own tables' schemas. Rollback is ApplyBucketPages of the extracted
+//     pages at the source, by reference for the same reason.
 //
 // Replaying a delta is idempotent (puts are last-writer-wins, deletes are
 // absence), so a row copied after a captured write converges to the same
@@ -72,42 +72,22 @@ func (tb *TupleBatch) View(i int) TupleView {
 	return TupleView{b: tb.Tuples[i], schema: tb.Schema}
 }
 
-// NewTupleBatch encodes materialized rows into a self-contained batch with
-// its own schema — the bridge for callers that hold Rows rather than a
-// bucket (tests, bulk loads).
-func NewTupleBatch(tableName string, rows []Row) *TupleBatch {
-	s := newSchema()
-	batch := &TupleBatch{Table: tableName, Schema: s, Tuples: make([][]byte, 0, len(rows))}
-	for _, r := range rows {
-		batch.Tuples = append(batch.Tuples, appendTuple(nil, s, r.Key, r.Cols))
-	}
-	return batch
-}
-
 // bucketCapture is one migrating bucket's write-capture state.
 type bucketCapture struct {
 	delta []DeltaOp
 }
 
-// DefaultCopySliceRows bounds how many rows one CopySlice may hold when the
-// caller does not choose: small enough that copying a slice never occupies
-// an executor for long, large enough to amortize the per-visit overhead.
-const DefaultCopySliceRows = 256
-
 // BeginCapture marks the bucket as migrating and starts capturing writes to
 // it. It returns the copy manifest: every (table, key) present right now,
-// pre-chunked into slices of at most sliceRows keys (DefaultCopySliceRows
-// if sliceRows ≤ 0). The manifest plus the delta captured from this moment
-// on is exactly the bucket's final contents.
+// pre-chunked into slices of at most sliceRows keys (one slice per table if
+// sliceRows ≤ 0). The manifest plus the delta captured from this moment on
+// is exactly the bucket's final contents.
 func (p *Partition) BeginCapture(bucket, sliceRows int) ([]CopySlice, error) {
 	if !p.owned[bucket] {
 		return nil, &ErrNotOwned{Partition: p.id, Bucket: bucket}
 	}
 	if p.capture[bucket] != nil {
 		return nil, fmt.Errorf("storage: partition %d already capturing bucket %d", p.id, bucket)
-	}
-	if sliceRows <= 0 {
-		sliceRows = DefaultCopySliceRows
 	}
 	if p.capture == nil {
 		p.capture = make(map[int]*bucketCapture)
@@ -127,12 +107,12 @@ func (p *Partition) BeginCapture(bucket, sliceRows int) ([]CopySlice, error) {
 			// overwrite of those rows, so copy them out.
 			keys = append(keys, string(append([]byte(nil), k...)))
 		}
-		for i := 0; i < len(keys); i += sliceRows {
-			end := i + sliceRows
-			if end > len(keys) {
-				end = len(keys)
-			}
-			slices = append(slices, CopySlice{Table: name, Keys: keys[i:end]})
+		step := sliceRows
+		if step <= 0 {
+			step = len(keys)
+		}
+		for i := 0; i < len(keys); i += step {
+			slices = append(slices, CopySlice{Table: name, Keys: keys[i:min(i+step, len(keys))]})
 		}
 	}
 	return slices, nil
@@ -185,247 +165,113 @@ func (p *Partition) DeltaLen(bucket int) int {
 	return 0
 }
 
-// DrainDelta pops up to max captured writes (all of them when max ≤ 0) in
-// capture order and reports how many remain. Draining a bucket that is not
-// capturing is an error — it means the protocol lost track of the bucket.
-func (p *Partition) DrainDelta(bucket, max int) ([]DeltaOp, int, error) {
+// DrainDelta pops every captured write in capture order. Draining a bucket
+// that is not capturing is an error — it means the protocol lost track of
+// the bucket.
+func (p *Partition) DrainDelta(bucket int) ([]DeltaOp, error) {
 	c := p.capture[bucket]
 	if c == nil {
-		return nil, 0, fmt.Errorf("storage: partition %d not capturing bucket %d", p.id, bucket)
+		return nil, fmt.Errorf("storage: partition %d not capturing bucket %d", p.id, bucket)
 	}
-	if max <= 0 || max >= len(c.delta) {
-		ops := c.delta
-		c.delta = nil
-		return ops, 0, nil
-	}
-	ops := c.delta[:max:max]
-	c.delta = append([]DeltaOp(nil), c.delta[max:]...)
-	return ops, len(c.delta), nil
+	ops := c.delta
+	c.delta = nil
+	return ops, nil
 }
 
 // AbortCapture discards the bucket's capture state and delta. The bucket
 // stays owned and fully live — aborting a pre-copy costs nothing.
 func (p *Partition) AbortCapture(bucket int) { delete(p.capture, bucket) }
 
-// DetachedBucket holds a bucket's arenas unhooked from their partition —
-// the in-flight state between DetachBucket at the source and the durable
-// commit at the destination. Dropping it frees the source copy; handing it
-// back to ReattachBucket restores the source exactly.
-type DetachedBucket struct {
-	Bucket int
-	part   int
-	tables map[string]*bucketRows
+// stagedPage returns the staged page for a table, creating it encoded
+// against the destination table's own schema (creating the table too), so
+// ApplyBucketPages installs it without any re-encoding. Seeding an empty
+// schema from the source's field order keeps the verbatim copy path hot.
+func (p *Partition) stagedPage(bp *BucketPages, tableName string, src *Schema) *bucketPage {
+	p.CreateTable(tableName)
+	t := p.tables[tableName]
+	t.seedSchema(src)
+	pg := bp.tables[tableName]
+	if pg == nil {
+		pg = &bucketPage{schema: t.schema, rows: newBucketRows()}
+		bp.tables[tableName] = pg
+	}
+	return pg
 }
 
-// RowCount returns the number of rows in the detached bucket.
-func (d *DetachedBucket) RowCount() int {
-	n := 0
-	for _, rows := range d.tables {
-		n += rows.len()
-	}
-	return n
-}
-
-// DetachBucket ends the bucket's capture with the stop-the-world step of a
-// pre-copy move: it unhooks the bucket's arenas from the live tables
-// (pointer moves, no row copying), revokes ownership and returns the final
-// residual delta. Cost is O(tables + residual delta) — the per-move stall
-// no longer scales with bucket size.
-func (p *Partition) DetachBucket(bucket int) (*DetachedBucket, []DeltaOp, error) {
-	c := p.capture[bucket]
-	if c == nil {
-		return nil, nil, fmt.Errorf("storage: partition %d not capturing bucket %d", p.id, bucket)
-	}
-	if !p.owned[bucket] {
-		return nil, nil, &ErrNotOwned{Partition: p.id, Bucket: bucket}
-	}
-	d := &DetachedBucket{Bucket: bucket, part: p.id, tables: make(map[string]*bucketRows)}
-	for name, t := range p.tables {
-		if rows, ok := t.buckets[bucket]; ok {
-			d.tables[name] = rows
-			delete(t.buckets, bucket)
-		}
-	}
-	delete(p.owned, bucket)
-	final := c.delta
-	delete(p.capture, bucket)
-	return d, final, nil
-}
-
-// ReattachBucket undoes a DetachBucket on the same partition: the arenas
-// are hooked back in and ownership restored. The detached rows already
-// include every captured write, so reattaching alone makes the bucket
-// exactly current. Used by the migration rollback path.
-func (p *Partition) ReattachBucket(d *DetachedBucket) error {
-	if d == nil {
-		return fmt.Errorf("storage: reattach of nil bucket")
-	}
-	if d.part != p.id {
-		return fmt.Errorf("storage: partition %d cannot reattach bucket %d detached from partition %d",
-			p.id, d.Bucket, d.part)
-	}
-	if p.owned[d.Bucket] {
-		return fmt.Errorf("storage: partition %d already owns bucket %d", p.id, d.Bucket)
-	}
-	for name, rows := range d.tables {
-		p.CreateTable(name)
-		p.tables[name].buckets[d.Bucket] = rows
-	}
-	p.owned[d.Bucket] = true
-	return nil
-}
-
-// stagePut re-encodes one source-schema tuple against the staging table's
+// stagePut re-encodes one source-schema tuple against the staged page's
 // schema (a verbatim arena copy when the schemas already agree) and indexes
-// it in the staged bucket.
-func (p *Partition) stagePut(st *bucketRows, src, dst *Schema, tuple []byte) {
-	if sameFields(src, dst) {
-		st.putTuple(tuple)
+// it.
+func (p *Partition) stagePut(pg *bucketPage, src *Schema, tuple []byte) {
+	if sameFields(src, pg.schema) {
+		pg.rows.putTuple(tuple)
 		return
 	}
-	p.enc = remapTuple(p.enc[:0], src, dst, tuple)
-	st.putTuple(p.enc)
-}
-
-// stageSchemaFor returns the schema staged tuples for tableName are encoded
-// against: the live table's own schema, creating the table if needed, so
-// CommitStaged installs arenas without any re-encoding. Seeding an empty
-// schema from the source's field order keeps the verbatim fast path hot.
-func (p *Partition) stageSchemaFor(tableName string, src *Schema) *Schema {
-	p.CreateTable(tableName)
-	dst := p.tables[tableName].schema
-	if dst.NumFields() == 0 {
-		for _, name := range src.fieldNames() {
-			dst.intern(name)
-		}
-	}
-	return dst
+	p.enc = remapTuple(p.enc[:0], src, pg.schema, tuple)
+	pg.rows.putTuple(p.enc)
 }
 
 // StageRows accumulates a copied batch for a bucket the partition does not
 // own yet. Staged tuples live outside the live tables: invisible to
-// transactions, scans, counts and checksums until CommitStaged. Tuples are
-// re-encoded against the destination table's schema on arrival (verbatim
-// when field tables agree), so the final commit stays O(tables).
+// transactions, scans, counts and checksums until ApplyBucketPages installs
+// Staged(bucket).
 func (p *Partition) StageRows(bucket int, batch *TupleBatch) error {
-	stb, err := p.stagingFor(bucket)
+	bp, err := p.stagingFor(bucket)
 	if err != nil {
 		return err
 	}
-	dst := p.stageSchemaFor(batch.Table, batch.Schema)
-	st := stb[batch.Table]
-	if st == nil {
-		st = newBucketRows()
-		stb[batch.Table] = st
-	}
+	pg := p.stagedPage(bp, batch.Table, batch.Schema)
 	for _, tuple := range batch.Tuples {
-		p.stagePut(st, batch.Schema, dst, tuple)
+		p.stagePut(pg, batch.Schema, tuple)
 	}
 	return nil
 }
 
 // StageDelta overlays captured writes, in capture order, on the staged
-// tuples. After the final delta is staged the staging area equals the
-// bucket's live contents at detach time.
+// tuples. After the final delta is staged the staged pages equal the
+// bucket's live contents at extraction time.
 func (p *Partition) StageDelta(bucket int, ops []DeltaOp) error {
-	stb, err := p.stagingFor(bucket)
+	bp, err := p.stagingFor(bucket)
 	if err != nil {
 		return err
 	}
 	for _, op := range ops {
-		st := stb[op.Table]
-		if st == nil {
-			if op.Delete {
-				continue
-			}
-			st = newBucketRows()
-			stb[op.Table] = st
-		}
 		if op.Delete {
-			st.delete(op.Key)
+			if pg := bp.tables[op.Table]; pg != nil {
+				pg.rows.delete(op.Key)
+			}
 			continue
 		}
-		dst := p.stageSchemaFor(op.Table, op.Schema)
-		p.stagePut(st, op.Schema, dst, op.Tuple)
+		p.stagePut(p.stagedPage(bp, op.Table, op.Schema), op.Schema, op.Tuple)
 	}
 	return nil
 }
 
-func (p *Partition) stagingFor(bucket int) (map[string]*bucketRows, error) {
-	if p.owned[bucket] {
-		return nil, fmt.Errorf("storage: partition %d already owns bucket %d", p.id, bucket)
+func (p *Partition) stagingFor(bucket int) (*BucketPages, error) {
+	if err := p.checkClaim(bucket); err != nil {
+		return nil, err
 	}
 	if p.staged == nil {
-		p.staged = make(map[int]map[string]*bucketRows)
+		p.staged = make(map[int]*BucketPages)
 	}
-	st := p.staged[bucket]
-	if st == nil {
-		st = make(map[string]*bucketRows)
-		p.staged[bucket] = st
+	bp := p.staged[bucket]
+	if bp == nil {
+		bp = &BucketPages{Bucket: bucket, tables: make(map[string]*bucketPage)}
+		p.staged[bucket] = bp
 	}
-	return st, nil
+	return bp, nil
 }
 
-// StagedRowCount returns the number of rows currently staged for the bucket.
-func (p *Partition) StagedRowCount(bucket int) int {
-	n := 0
-	for _, rows := range p.staged[bucket] {
-		n += rows.len()
-	}
-	return n
-}
-
-// StagedData materializes the staged bucket as BucketData with rows in
-// sorted key order — the deterministic encoding the durability handoff
-// record wants. Staged tuples are encoded against the live tables' schemas
-// (stageSchemaFor guarantees the table exists), which CommitStaged then
-// installs by reference.
-func (p *Partition) StagedData(bucket int) *BucketData {
-	data := &BucketData{Bucket: bucket, Tables: make(map[string][]Row)}
-	//pstore:ignore determinism — rows are sorted by key below before encoding
-	for name, rows := range p.staged[bucket] {
-		schema := p.tables[name].schema
-		out := make([]Row, 0, rows.len())
-		//pstore:ignore determinism — index iteration lands in out, which is sorted below
-		for _, tuple := range rows.index {
-			out = append(out, TupleView{b: tuple, schema: schema}.Row())
-		}
-		sortRowsByKey(out)
-		data.Tables[name] = out
-	}
-	return data
-}
-
-// CommitStaged installs the staged arenas as the bucket's live contents (by
-// reference — O(tables)) and takes ownership, reporting the number of rows
-// that landed. Committing a bucket the partition already owns is an error.
-// A bucket with nothing staged commits empty, matching ApplyBucket of an
-// empty BucketData.
-func (p *Partition) CommitStaged(bucket int) (int, error) {
-	if p.owned[bucket] {
-		return 0, fmt.Errorf("storage: partition %d already owns bucket %d", p.id, bucket)
-	}
-	n := 0
-	for name, rows := range p.staged[bucket] {
-		if rows.len() == 0 {
-			continue
-		}
-		p.CreateTable(name)
-		p.tables[name].buckets[bucket] = rows
-		n += rows.len()
-	}
-	delete(p.staged, bucket)
-	p.owned[bucket] = true
-	return n, nil
-}
+// Staged returns the pages staged for the bucket, or nil when nothing is.
+// They are encoded against this partition's own schemas: Data is the
+// durable handoff record, and ApplyBucketPages commits them by reference.
+func (p *Partition) Staged(bucket int) *BucketPages { return p.staged[bucket] }
 
 // DiscardStaged drops everything staged for the bucket — the destination
 // half of aborting a pre-copy move.
 func (p *Partition) DiscardStaged(bucket int) { delete(p.staged, bucket) }
 
 // sortRowsByKey orders rows deterministically for snapshot and handoff
-// encoding. Live-path extraction does not sort (see ExtractBucket); only
-// the durable encoders pay for determinism.
+// encoding; only the durable encoders pay for determinism.
 func sortRowsByKey(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
 }

@@ -25,9 +25,10 @@ func fillBucket(t *testing.T, p *Partition, table string, bucket, n int) []strin
 }
 
 // TestPreCopyLifecycle walks the whole protocol at the storage layer: begin
-// capture, copy slices while writes keep landing, drain the delta, detach,
-// stage the final delta and commit — then checks the destination equals the
-// source's final state exactly.
+// capture, copy slices while writes keep landing, drain the delta, then the
+// flip — drain the residual and extract at the source, stage it and apply
+// the staged pages at the destination — and checks the destination equals
+// the source's final state exactly.
 func TestPreCopyLifecycle(t *testing.T) {
 	src := newTestPartition()
 	const bucket = 5
@@ -96,9 +97,9 @@ func TestPreCopyLifecycle(t *testing.T) {
 	}
 
 	// Drain round.
-	ops, remaining, err := src.DrainDelta(bucket, 0)
-	if err != nil || remaining != 0 {
-		t.Fatalf("DrainDelta: %d remaining, err=%v", remaining, err)
+	ops, err := src.DrainDelta(bucket)
+	if err != nil || src.DeltaLen(bucket) != 0 {
+		t.Fatalf("DrainDelta: %d remaining, err=%v", src.DeltaLen(bucket), err)
 	}
 	if len(ops) != 3 {
 		t.Fatalf("drained %d ops, want 3", len(ops))
@@ -112,44 +113,50 @@ func TestPreCopyLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	detached, final, err := src.DetachBucket(bucket)
+	// The flip's source visit: drain the residual, extract the pages.
+	final, err := src.DrainDelta(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(final) != 1 {
 		t.Fatalf("final delta has %d ops, want 1", len(final))
 	}
+	pages, err := src.ExtractBucketPages(bucket)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if src.Owns(bucket) || src.Capturing(bucket) {
-		t.Error("detach must revoke ownership and end the capture")
+		t.Error("extraction must revoke ownership and end the capture")
 	}
 	wantRows := len(keys) - 1 + 1 // minus deleted, plus fresh
-	if detached.RowCount() != wantRows {
-		t.Errorf("detached holds %d rows, want %d", detached.RowCount(), wantRows)
+	if pages.RowCount() != wantRows {
+		t.Errorf("extracted pages hold %d rows, want %d", pages.RowCount(), wantRows)
 	}
 
 	if err := dst.StageDelta(bucket, final); err != nil {
 		t.Fatal(err)
 	}
-	// StagedData sorts deterministically and must equal the final contents.
-	data := dst.StagedData(bucket)
-	if data.RowCount() != wantRows {
-		t.Errorf("staged data has %d rows, want %d", data.RowCount(), wantRows)
+	// The staged pages' Data — the durable handoff record — sorts
+	// deterministically and must equal the final contents.
+	staged := dst.Staged(bucket)
+	data := staged.Data()
+	if data.RowCount() != wantRows || staged.RowCount() != wantRows {
+		t.Errorf("staged pages hold %d rows (data %d), want %d", staged.RowCount(), data.RowCount(), wantRows)
 	}
 	for i := 1; i < len(data.Tables["CART"]); i++ {
 		if data.Tables["CART"][i-1].Key >= data.Tables["CART"][i].Key {
-			t.Fatal("StagedData rows not sorted by key")
+			t.Fatal("staged Data rows not sorted by key")
 		}
 	}
 
-	n, err := dst.CommitStaged(bucket)
-	if err != nil {
+	if err := dst.ApplyBucketPages(staged); err != nil {
 		t.Fatal(err)
 	}
-	if n != wantRows {
-		t.Errorf("committed %d rows, want %d", n, wantRows)
+	if !dst.Owns(bucket) || dst.Staged(bucket) != nil {
+		t.Error("applying the staged pages should take ownership and end the staging")
 	}
-	if !dst.Owns(bucket) {
-		t.Error("destination should own the bucket after commit")
+	if dst.tables["CART"].buckets[bucket] != staged.tables["CART"].rows {
+		t.Error("staged pages were re-encoded on apply; want an install by reference")
 	}
 	if r, ok, _ := dst.Get("CART", updated); !ok || r.Cols["v"] != "final" {
 		t.Errorf("updated row = %v, want v=final", r.Cols)
@@ -177,29 +184,30 @@ func TestBeginCaptureErrors(t *testing.T) {
 	}
 }
 
-func TestDrainDeltaBounded(t *testing.T) {
+func TestDrainDeltaInCaptureOrder(t *testing.T) {
 	p := newTestPartition()
 	const bucket = 9
 	if _, err := p.BeginCapture(bucket, 0); err != nil {
 		t.Fatal(err)
 	}
 	keys := fillBucket(t, p, "CART", bucket, 5)
-	ops, remaining, err := p.DrainDelta(bucket, 2)
+	ops, err := p.DrainDelta(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != 2 || remaining != 3 {
-		t.Fatalf("drained %d remaining %d, want 2/3", len(ops), remaining)
+	if len(ops) != len(keys) || p.DeltaLen(bucket) != 0 {
+		t.Fatalf("drained %d ops leaving %d, want %d leaving 0", len(ops), p.DeltaLen(bucket), len(keys))
 	}
-	if ops[0].Key != keys[0] || ops[1].Key != keys[1] {
-		t.Error("drain must preserve capture order")
+	for i, op := range ops {
+		if op.Key != keys[i] {
+			t.Fatalf("op %d is %s, want %s: drain must preserve capture order", i, op.Key, keys[i])
+		}
 	}
-	ops, remaining, err = p.DrainDelta(bucket, 0)
-	if err != nil || len(ops) != 3 || remaining != 0 {
-		t.Fatalf("second drain: %d ops %d remaining err=%v", len(ops), remaining, err)
+	if ops, err = p.DrainDelta(bucket); err != nil || len(ops) != 0 {
+		t.Fatalf("second drain: %d ops err=%v", len(ops), err)
 	}
 	// Draining a non-capturing bucket is a protocol error.
-	if _, _, err := p.DrainDelta(60, 0); err == nil {
+	if _, err := p.DrainDelta(60); err == nil {
 		t.Error("draining a non-capturing bucket should fail")
 	}
 }
@@ -230,91 +238,174 @@ func TestAbortCaptureLeavesBucketLive(t *testing.T) {
 	}
 }
 
-func TestDetachReattachRoundTrip(t *testing.T) {
+// TestRollbackRestoresPagesByReference: a flip that fails after the source
+// extracted the bucket rolls back by applying the extracted pages at the
+// source. They carry the source tables' own schemas, so the restore hands
+// the very same arenas back — and they already hold every captured write.
+func TestRollbackRestoresPagesByReference(t *testing.T) {
 	p := newTestPartition()
 	const bucket = 21
 	keys := fillBucket(t, p, "CART", bucket, 10)
 	if _, err := p.BeginCapture(bucket, 0); err != nil {
 		t.Fatal(err)
 	}
-	detached, _, err := p.DetachBucket(bucket)
+	if err := p.Put("CART", keys[0], map[string]string{"v": "during"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DrainDelta(bucket); err != nil {
+		t.Fatal(err)
+	}
+	pages, err := p.ExtractBucketPages(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Owns(bucket) {
-		t.Fatal("detach must revoke ownership")
+		t.Fatal("extraction must revoke ownership")
 	}
-	// Reattach restores the exact contents and ownership.
-	if err := p.ReattachBucket(detached); err != nil {
+	extracted := pages.tables["CART"].rows
+
+	if err := p.ApplyBucketPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Owns(bucket) {
-		t.Error("reattach must restore ownership")
+		t.Error("rollback must restore ownership")
+	}
+	if p.tables["CART"].buckets[bucket] != extracted {
+		t.Error("rollback re-encoded the bucket; want the extracted bucketRows back by reference")
 	}
 	for _, k := range keys {
 		if _, ok, err := p.Get("CART", k); err != nil || !ok {
-			t.Fatalf("row %s lost across detach/reattach: ok=%v err=%v", k, ok, err)
+			t.Fatalf("row %s lost across extract/rollback: ok=%v err=%v", k, ok, err)
 		}
 	}
-	// Reattaching while owned, or onto another partition, is an error.
-	if err := p.ReattachBucket(detached); err == nil {
-		t.Error("reattach of an owned bucket should fail")
+	if r, _, _ := p.Get("CART", keys[0]); r.Cols["v"] != "during" {
+		t.Errorf("captured write lost across rollback: v = %q", r.Cols["v"])
 	}
-	other := NewPartition(5, 64, nil)
-	if err := other.ReattachBucket(detached); err == nil {
-		t.Error("reattach onto a different partition should fail")
+	// Rolling back onto an owned bucket is an error; the capture ended with
+	// the extraction.
+	if err := p.ApplyBucketPages(pages); err == nil {
+		t.Error("applying pages to an owned bucket should fail")
 	}
-	// Detach requires an active capture.
-	if _, _, err := p.DetachBucket(bucket); err == nil {
-		t.Error("detach without capture should fail")
+	if _, err := p.DrainDelta(bucket); err == nil {
+		t.Error("extraction should have ended the capture")
 	}
 }
 
-func TestStagingInvisibleUntilCommit(t *testing.T) {
-	p := NewPartition(4, 64, nil)
-	const bucket = 2
-	rows := []Row{{Key: "a", Cols: map[string]string{"v": "1"}}}
-	if err := p.StageRows(bucket, NewTupleBatch("T", rows)); err != nil {
+// stageFrom copies every row the source holds in bucket into the
+// destination's staging, as the pre-copy stream does.
+func stageFrom(t *testing.T, src, dst *Partition, bucket int) {
+	t.Helper()
+	slices, err := src.BeginCapture(bucket, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.StagedRowCount(bucket) != 1 {
-		t.Errorf("StagedRowCount = %d", p.StagedRowCount(bucket))
+	for _, s := range slices {
+		batch, err := src.CopyRows(bucket, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.StageRows(bucket, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.AbortCapture(bucket)
+}
+
+func TestStagingInvisibleUntilCommit(t *testing.T) {
+	src := NewPartition(1, 64, allBuckets(64))
+	src.CreateTable("T")
+	const bucket = 2
+	fillBucket(t, src, "T", bucket, 1)
+
+	p := NewPartition(4, 64, nil)
+	stageFrom(t, src, p, bucket)
+	if p.Staged(bucket).RowCount() != 1 {
+		t.Errorf("staged rows = %d, want 1", p.Staged(bucket).RowCount())
 	}
 	if p.RowCount() != 0 || p.Owns(bucket) {
 		t.Error("staging must not touch live state")
 	}
 	p.DiscardStaged(bucket)
-	if p.StagedRowCount(bucket) != 0 {
+	if p.Staged(bucket) != nil {
 		t.Error("discard must drop staged rows")
 	}
 	// Committing with nothing staged still takes ownership (empty bucket).
-	if n, err := p.CommitStaged(bucket); err != nil || n != 0 {
-		t.Fatalf("empty commit: n=%d err=%v", n, err)
+	if err := p.StageDelta(bucket, nil); err != nil {
+		t.Fatal(err)
 	}
-	if !p.Owns(bucket) {
-		t.Error("empty commit must still claim the bucket")
+	if err := p.ApplyBucketPages(p.Staged(bucket)); err != nil {
+		t.Fatalf("empty commit: %v", err)
 	}
-	// Staging or committing a bucket the partition owns is an error.
-	if err := p.StageRows(bucket, NewTupleBatch("T", rows)); err == nil {
+	if !p.Owns(bucket) || p.RowCount() != 0 {
+		t.Error("empty commit must still claim the bucket, and nothing else")
+	}
+	// Staging a bucket the partition owns is an error.
+	batch, err := src.CopyRows(bucket, CopySlice{Table: "T"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.StageRows(bucket, batch); err == nil {
 		t.Error("staging an owned bucket should fail")
-	}
-	if _, err := p.CommitStaged(bucket); err == nil {
-		t.Error("committing an owned bucket should fail")
 	}
 }
 
-// TestExtractBucketClearsCapture pins the interaction between the legacy
-// stop-and-copy path and an abandoned capture: extraction ends it.
+// TestStagingReencodesAgainstDestinationSchema: when the destination's table
+// assigns field IDs differently from the source's, staged tuples are
+// re-encoded on arrival — so the commit still installs the staged pages by
+// reference, and they decode correctly against the destination's schema.
+func TestStagingReencodesAgainstDestinationSchema(t *testing.T) {
+	src := newTestPartition()
+	const bucket = 17
+	keys := fillBucket(t, src, "CART", bucket, 8) // source CART fields: [v]
+
+	dst := NewPartition(3, 64, []int{0})
+	dst.CreateTable("CART")
+	other := ""
+	for i := 0; other == ""; i++ {
+		if k := fmt.Sprintf("other-%d", i); BucketOf(k, 64) == 0 {
+			other = k
+		}
+	}
+	// Destination CART fields: [a, v] — v has a different ID than at the source.
+	if err := dst.Put("CART", other, map[string]string{"a": "x", "v": "y"}); err != nil {
+		t.Fatal(err)
+	}
+	if sameFields(src.tables["CART"].schema, dst.tables["CART"].schema) {
+		t.Fatal("test needs mismatched schemas")
+	}
+
+	stageFrom(t, src, dst, bucket)
+	staged := dst.Staged(bucket)
+	if staged.tables["CART"].schema != dst.tables["CART"].schema {
+		t.Fatal("staged pages must be encoded against the destination table's schema")
+	}
+	if err := dst.ApplyBucketPages(staged); err != nil {
+		t.Fatal(err)
+	}
+	if dst.tables["CART"].buckets[bucket] != staged.tables["CART"].rows {
+		t.Error("staged pages were re-encoded on apply; want an install by reference")
+	}
+	for _, k := range keys {
+		want, _, _ := src.Get("CART", k)
+		got, ok, err := dst.Get("CART", k)
+		if err != nil || !ok || got.Cols["v"] != want.Cols["v"] || len(got.Cols) != 1 {
+			t.Fatalf("row %s = %v (ok=%v err=%v), want %v", k, got.Cols, ok, err, want.Cols)
+		}
+	}
+}
+
+// TestExtractBucketClearsCapture pins the interaction between extraction and
+// a capture: extracting the bucket ends it.
 func TestExtractBucketClearsCapture(t *testing.T) {
 	p := newTestPartition()
 	const bucket = 30
 	if _, err := p.BeginCapture(bucket, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ExtractBucket(bucket); err != nil {
+	if _, err := p.ExtractBucketPages(bucket); err != nil {
 		t.Fatal(err)
 	}
 	if p.Capturing(bucket) {
-		t.Error("ExtractBucket must clear capture state")
+		t.Error("ExtractBucketPages must clear capture state")
 	}
 }

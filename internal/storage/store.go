@@ -78,10 +78,10 @@ type Partition struct {
 
 	// capture holds per-bucket write-capture state while a pre-copy
 	// migration is streaming the bucket out (see precopy.go); staged holds
-	// tuples arriving for buckets this partition does not own yet
-	// (bucket → table → bucketRows). Both are nil when no move is in flight.
+	// the pages arriving for buckets this partition does not own yet. Both
+	// are nil when no move is in flight.
 	capture map[int]*bucketCapture
-	staged  map[int]map[string]*bucketRows
+	staged  map[int]*BucketPages
 
 	// enc is the partition's tuple-encode scratch buffer, reused across
 	// Puts (the encoded bytes are copied into the bucket arena immediately).
@@ -383,14 +383,14 @@ func (d *BucketData) RowCount() int {
 }
 
 // BucketPages is one bucket's encoded pages unhooked from (or bound for) a
-// partition: per-table arenas handed off by reference, with each source
-// table's schema riding along to decode them. Moving a bucket this way is
-// O(tables) pointer moves — no per-row cloning — and the receiving
-// partition re-encodes only if its schema assigns different field IDs.
+// partition: per-table arenas handed off by reference, with each table's
+// schema riding along to decode them. Moving a bucket this way is O(tables)
+// pointer moves — no per-row cloning — and the receiving partition
+// re-encodes only if its schema assigns different field IDs. A partition's
+// staged pages for an incoming bucket are BucketPages too (see precopy.go).
 type BucketPages struct {
 	Bucket int
 	tables map[string]*bucketPage
-	rows   int
 }
 
 type bucketPage struct {
@@ -399,11 +399,17 @@ type bucketPage struct {
 }
 
 // RowCount returns the number of rows carried by the pages.
-func (bp *BucketPages) RowCount() int { return bp.rows }
+func (bp *BucketPages) RowCount() int {
+	n := 0
+	for _, pg := range bp.tables {
+		n += pg.rows.len()
+	}
+	return n
+}
 
 // Data materializes the pages as sorted BucketData — the deterministic
-// interchange form the durable handoff record encodes. Cost is O(rows);
-// only paths that must serialize pay it.
+// interchange form snapshots and the durable handoff record encode. Cost is
+// O(rows); only paths that must serialize pay it.
 func (bp *BucketPages) Data() *BucketData {
 	data := &BucketData{Bucket: bp.Bucket, Tables: make(map[string][]Row, len(bp.tables))}
 	//pstore:ignore determinism — rows are sorted by key below before encoding
@@ -419,40 +425,51 @@ func (bp *BucketPages) Data() *BucketData {
 	return data
 }
 
+// pages returns the bucket's pages as BucketPages aliasing the live tables.
+func (p *Partition) pages(bucket int) *BucketPages {
+	bp := &BucketPages{Bucket: bucket, tables: make(map[string]*bucketPage)}
+	for name, t := range p.tables {
+		if rows, ok := t.buckets[bucket]; ok {
+			bp.tables[name] = &bucketPage{schema: t.schema, rows: rows}
+		}
+	}
+	return bp
+}
+
 // ExtractBucketPages removes the bucket's encoded pages from the partition
-// and revokes ownership — the zero-copy form of ExtractBucket: O(tables)
-// pointer moves regardless of row count. Any in-flight capture state for
-// the bucket is discarded.
+// and revokes ownership: O(tables) pointer moves regardless of row count.
+// Any in-flight capture state for the bucket is discarded.
 func (p *Partition) ExtractBucketPages(bucket int) (*BucketPages, error) {
 	if !p.owned[bucket] {
 		return nil, &ErrNotOwned{Partition: p.id, Bucket: bucket}
 	}
-	bp := &BucketPages{Bucket: bucket, tables: make(map[string]*bucketPage)}
-	for name, t := range p.tables {
-		rows, ok := t.buckets[bucket]
-		if !ok {
-			continue
-		}
-		bp.tables[name] = &bucketPage{schema: t.schema, rows: rows}
-		bp.rows += rows.len()
-		delete(t.buckets, bucket)
+	bp := p.pages(bucket)
+	for name := range bp.tables {
+		delete(p.tables[name].buckets, bucket)
 	}
 	delete(p.owned, bucket)
 	delete(p.capture, bucket)
 	return bp, nil
 }
 
-// adoptRows installs src-encoded rows into the table's bucket. When the
-// table's schema assigns the same field IDs as the source (always true for
-// a fresh table, which adopts the source's field order) the bucketRows
-// transfer by reference; otherwise every tuple is re-encoded against the
-// table's schema — O(rows) but still no per-row map allocation.
-func (t *table) adoptRows(bucket int, src *Schema, rows *bucketRows) {
+// seedSchema gives an empty table schema src's field order, so tuples
+// encoded against src install verbatim.
+func (t *table) seedSchema(src *Schema) {
 	if t.schema.NumFields() == 0 {
 		for _, name := range src.fieldNames() {
 			t.schema.intern(name)
 		}
 	}
+}
+
+// adoptRows installs src-encoded rows into the table's bucket. When the
+// table's schema assigns the same field IDs as the source (always true for
+// a fresh table, which adopts the source's field order, and for pages
+// encoded against this very table) the bucketRows transfer by reference;
+// otherwise every tuple is re-encoded against the table's schema — O(rows)
+// but still no per-row map allocation.
+func (t *table) adoptRows(bucket int, src *Schema, rows *bucketRows) {
+	t.seedSchema(src)
 	if sameFields(src, t.schema) && t.buckets[bucket] == nil {
 		t.buckets[bucket] = rows
 		return
@@ -469,17 +486,33 @@ func (t *table) adoptRows(bucket int, src *Schema, rows *bucketRows) {
 	}
 }
 
-// ApplyBucketPages installs extracted pages and takes ownership. Applying a
-// bucket the partition already owns is an error (it would clobber data).
+// checkClaim refuses to take a bucket that is out of range — a corrupt
+// snapshot or handoff record naming one would otherwise become an owned
+// bucket no routing table can hold — or already owned, which would clobber
+// its data.
+func (p *Partition) checkClaim(bucket int) error {
+	if bucket < 0 || bucket >= p.nBuckets {
+		return fmt.Errorf("storage: bucket %d out of range [0, %d)", bucket, p.nBuckets)
+	}
+	if p.owned[bucket] {
+		return fmt.Errorf("storage: partition %d already owns bucket %d", p.id, bucket)
+	}
+	return nil
+}
+
+// ApplyBucketPages installs pages and takes ownership: extracted pages
+// arriving at a new home or returning to their source, or a migration's
+// staged pages at its destination, whose staging it ends.
 func (p *Partition) ApplyBucketPages(bp *BucketPages) error {
-	if p.owned[bp.Bucket] {
-		return fmt.Errorf("storage: partition %d already owns bucket %d", p.id, bp.Bucket)
+	if err := p.checkClaim(bp.Bucket); err != nil {
+		return err
 	}
 	for name, pg := range bp.tables {
 		p.CreateTable(name)
 		p.tables[name].adoptRows(bp.Bucket, pg.schema, pg.rows)
 	}
 	p.owned[bp.Bucket] = true
+	delete(p.staged, bp.Bucket)
 	return nil
 }
 
@@ -499,61 +532,22 @@ func (p *Partition) DropBucket(bucket int) error {
 	return nil
 }
 
-// ExtractBucket removes the bucket's rows from the partition and revokes
-// ownership, returning the materialized data. Extracting a bucket the
-// partition does not own is an error. Rows come back in unspecified order —
-// encoders that need determinism (snapshots, handoff records) sort
-// themselves. Live movement should prefer ExtractBucketPages, which skips
-// the materialization; discard paths should use DropBucket.
-func (p *Partition) ExtractBucket(bucket int) (*BucketData, error) {
-	bp, err := p.ExtractBucketPages(bucket)
-	if err != nil {
-		return nil, err
-	}
-	data := &BucketData{Bucket: bucket, Tables: make(map[string][]Row, len(bp.tables))}
-	//pstore:ignore determinism — documented unspecified order; durable encoders sort (BucketPages.Data, CopyBucket)
-	for name, pg := range bp.tables {
-		out := make([]Row, 0, pg.rows.len())
-		//pstore:ignore determinism — same: materialization order is unspecified by contract
-		for _, tuple := range pg.rows.index {
-			out = append(out, TupleView{b: tuple, schema: pg.schema}.Row())
-		}
-		data.Tables[name] = out
-	}
-	return data, nil
-}
-
 // CopyBucket returns the bucket's rows materialized in sorted key order
-// without disturbing the partition — the non-destructive sibling of
-// ExtractBucket, used by the durability snapshot encoder. Copying a bucket
-// the partition does not own is an error.
+// without disturbing the partition — what the durability snapshot encoder
+// writes. Copying a bucket the partition does not own is an error.
 func (p *Partition) CopyBucket(bucket int) (*BucketData, error) {
 	if !p.owned[bucket] {
 		return nil, &ErrNotOwned{Partition: p.id, Bucket: bucket}
 	}
-	data := &BucketData{Bucket: bucket, Tables: make(map[string][]Row)}
-	//pstore:ignore determinism — rows are sorted by key below before encoding
-	for name, t := range p.tables {
-		rows, ok := t.buckets[bucket]
-		if !ok {
-			continue
-		}
-		out := make([]Row, 0, rows.len())
-		//pstore:ignore determinism — index iteration lands in out, which is sorted below
-		for _, tuple := range rows.index {
-			out = append(out, TupleView{b: tuple, schema: t.schema}.Row())
-		}
-		sortRowsByKey(out)
-		data.Tables[name] = out
-	}
-	return data, nil
+	return p.pages(bucket).Data(), nil
 }
 
 // ApplyBucket installs the bucket's rows and takes ownership. Applying a
-// bucket the partition already owns is an error (it would clobber data).
+// bucket the partition already owns, or one outside [0, NBuckets), is an
+// error.
 func (p *Partition) ApplyBucket(data *BucketData) error {
-	if p.owned[data.Bucket] {
-		return fmt.Errorf("storage: partition %d already owns bucket %d", p.id, data.Bucket)
+	if err := p.checkClaim(data.Bucket); err != nil {
+		return err
 	}
 	//pstore:ignore determinism — interning order affects only in-memory field IDs; tuple bytes never reach a durable encoding unsorted
 	for name, rows := range data.Tables {

@@ -128,12 +128,12 @@ func TestExtractApplyBucketRoundTrip(t *testing.T) {
 	if wantRows == 0 {
 		t.Fatal("bucket empty")
 	}
-	data, err := src.ExtractBucket(bucket)
+	pages, err := src.ExtractBucketPages(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.RowCount() != wantRows {
-		t.Errorf("extracted %d rows, want %d", data.RowCount(), wantRows)
+	if pages.RowCount() != wantRows {
+		t.Errorf("extracted %d rows, want %d", pages.RowCount(), wantRows)
 	}
 	if src.Owns(bucket) {
 		t.Error("source should lose ownership")
@@ -142,12 +142,12 @@ func TestExtractApplyBucketRoundTrip(t *testing.T) {
 		t.Error("source access after extraction should fail")
 	}
 	// Double extraction fails.
-	if _, err := src.ExtractBucket(bucket); err == nil {
+	if _, err := src.ExtractBucketPages(bucket); err == nil {
 		t.Error("double extract should fail")
 	}
 
 	dst := NewPartition(2, 64, nil)
-	if err := dst.ApplyBucket(data); err != nil {
+	if err := dst.ApplyBucketPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Owns(bucket) {
@@ -161,19 +161,19 @@ func TestExtractApplyBucketRoundTrip(t *testing.T) {
 		t.Errorf("cols = %v", r.Cols)
 	}
 	// Re-applying fails.
-	if err := dst.ApplyBucket(data); err == nil {
+	if err := dst.ApplyBucketPages(pages); err == nil {
 		t.Error("double apply should fail")
 	}
 }
 
 func TestExtractEmptyBucket(t *testing.T) {
 	p := newTestPartition()
-	data, err := p.ExtractBucket(7)
+	pages, err := p.ExtractBucketPages(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.RowCount() != 0 {
-		t.Errorf("rows = %d", data.RowCount())
+	if pages.RowCount() != 0 || pages.Data().RowCount() != 0 {
+		t.Errorf("rows = %d", pages.RowCount())
 	}
 	if p.Owns(7) {
 		t.Error("ownership should be revoked even for empty buckets")
@@ -201,10 +201,11 @@ func TestExtractApplyMultiTableRoundTrip(t *testing.T) {
 		t.Fatal("bucket empty")
 	}
 
-	data, err := src.ExtractBucket(bucket)
+	pages, err := src.ExtractBucketPages(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := pages.Data()
 	if len(data.Tables) != len(tables) {
 		t.Errorf("extracted %d tables, want %d", len(data.Tables), len(tables))
 	}
@@ -213,7 +214,7 @@ func TestExtractApplyMultiTableRoundTrip(t *testing.T) {
 	}
 
 	dst := NewPartition(9, 64, nil)
-	if err := dst.ApplyBucket(data); err != nil {
+	if err := dst.ApplyBucketPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	if got := dst.BucketRowCount(bucket); got != wantRows {
@@ -244,12 +245,12 @@ func TestEmptyBucketRoundTrip(t *testing.T) {
 		}
 	}
 
-	data, err := src.ExtractBucket(bucket)
+	pages, err := src.ExtractBucketPages(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.RowCount() != 0 {
-		t.Errorf("rows = %d, want 0", data.RowCount())
+	if pages.RowCount() != 0 {
+		t.Errorf("rows = %d, want 0", pages.RowCount())
 	}
 	if src.Owns(bucket) {
 		t.Error("source should lose ownership of the empty bucket")
@@ -257,7 +258,7 @@ func TestEmptyBucketRoundTrip(t *testing.T) {
 
 	dst := NewPartition(3, 64, nil)
 	dst.CreateTable("CART")
-	if err := dst.ApplyBucket(data); err != nil {
+	if err := dst.ApplyBucketPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Owns(bucket) {
@@ -323,6 +324,28 @@ func TestCopyBucketNonDestructive(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesOutOfRangeBucket: a snapshot or handoff record naming a
+// bucket outside [0, NBuckets) — a wrapped-negative id included — must be
+// refused, never installed as an owned bucket no routing table can hold.
+func TestApplyRefusesOutOfRangeBucket(t *testing.T) {
+	rows := map[string][]Row{"CART": {{Key: "k", Cols: map[string]string{"v": "1"}}}}
+	for _, b := range []int{64, 1 << 40, -1} {
+		p := NewPartition(0, 64, nil)
+		if err := p.ApplyBucket(&BucketData{Bucket: b, Tables: rows}); err == nil {
+			t.Errorf("ApplyBucket(bucket %d) accepted an out-of-range bucket", b)
+		}
+		if err := p.ApplyBucketPages(&BucketPages{Bucket: b}); err == nil {
+			t.Errorf("ApplyBucketPages(bucket %d) accepted an out-of-range bucket", b)
+		}
+		if err := p.StageDelta(b, nil); err == nil {
+			t.Errorf("StageDelta(bucket %d) staged an out-of-range bucket", b)
+		}
+		if got := p.OwnedBuckets(); len(got) != 0 || p.RowCount() != 0 {
+			t.Errorf("bucket %d: partition owns %v with %d rows after refusals", b, got, p.RowCount())
+		}
+	}
+}
+
 func TestOwnedBucketsSorted(t *testing.T) {
 	p := NewPartition(0, 16, []int{9, 3, 12})
 	got := p.OwnedBuckets()
@@ -384,11 +407,11 @@ func TestFullMigrationPreservesRows(t *testing.T) {
 		}
 		dst := NewPartition(1, 8, nil)
 		for b := 0; b < 8; b++ {
-			data, err := src.ExtractBucket(b)
+			pages, err := src.ExtractBucketPages(b)
 			if err != nil {
 				return false
 			}
-			if err := dst.ApplyBucket(data); err != nil {
+			if err := dst.ApplyBucketPages(pages); err != nil {
 				return false
 			}
 		}
