@@ -29,30 +29,6 @@ type replicaHandle struct {
 	node int
 }
 
-// stalePrimary is a deposed primary the monitor could not reach to fence:
-// the quorum vote authorized the failover, but a network partition hides the
-// old primary, so its executor keeps running against a feed the hub has
-// epoch-fenced. The monitor demotes it in place once its links heal.
-type stalePrimary struct {
-	pid  int
-	node int
-	exec *engine.Executor
-	feed *replication.Feed
-	mgr  *durability.Manager
-}
-
-// teardown stops the stale primary in place: fence first so nothing it
-// finishes can ever be acked, then stop the executor and crash its log.
-func (s *stalePrimary) teardown() {
-	s.feed.Fence()
-	if !s.exec.Stopped() {
-		go s.exec.Stop()
-	}
-	if s.mgr != nil {
-		s.mgr.Crash()
-	}
-}
-
 // HandoffLog is the destination of migration bucket handoff records: the
 // partition's replication feed when replication is on (so replicas see the
 // ownership change in log order), else its durability manager directly.
@@ -65,12 +41,15 @@ type HandoffLog interface {
 // handoffs, or nil when the partition has neither feed nor durable log.
 func (c *Cluster) HandoffOf(partition int) HandoffLog {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if f, ok := c.feeds[partition]; ok {
-		return f
-	}
-	if m, ok := c.durs[partition]; ok {
-		return m
+	r := c.primaries[partition]
+	c.mu.RUnlock()
+	switch {
+	case r == nil:
+		return nil
+	case r.feed != nil:
+		return r.feed
+	case r.mgr != nil:
+		return r.mgr
 	}
 	return nil
 }
@@ -89,11 +68,10 @@ func (c *Cluster) replOpts() replication.Options {
 }
 
 // initReplication creates the hub and shipping state. Called from New
-// before any partition starts, so feeds can register as they are created.
+// before any partition starts, so every feed can register as it is
+// installed.
 func (c *Cluster) initReplication() error {
-	c.feeds = make(map[int]*replication.Feed)
 	c.replicas = make(map[int][]*replicaHandle)
-	c.epochs = make(map[int]uint64)
 	c.deadNodes = make(map[int]bool)
 	c.hub = replication.NewHub(c.replOpts(), c.events)
 	if c.cfg.ReplicationConnWrap != nil {
@@ -105,69 +83,34 @@ func (c *Cluster) initReplication() error {
 	return nil
 }
 
-// installFeedLocked wraps the partition's durability manager (nilable) in a
-// replication feed at the partition's current epoch and registers it with
-// the hub. Caller holds c.mu or owns c exclusively.
-func (c *Cluster) installFeedLocked(pid int, mgr *durability.Manager) *replication.Feed {
-	var start uint64
-	if mgr != nil {
-		start = mgr.Seq()
-	}
-	feed := replication.NewFeed(pid, mgr, c.epochs[pid], start, c.replOpts(), c.events)
-	feed.SetSnapshotFunc(c.partitionSnapshotFunc(pid))
-	c.feeds[pid] = feed
-	c.epochs[pid] = feed.Epoch()
-	if err := c.hub.Register(pid, feed); err != nil {
-		// Registration is refused only below the hub's fencing floor, and a
-		// startup feed precedes every fence — a refusal here is a programming
-		// error, surfaced loudly like other New-time invariants.
-		panic(fmt.Sprintf("cluster: registering partition %d feed: %v", pid, err))
-	}
-	return feed
-}
-
-// partitionSnapshotFunc returns the feed's consistent-cut provider: the cut
-// runs inside the partition's current executor, so it can never interleave
-// with appends and the captured LSN is exact.
-func (c *Cluster) partitionSnapshotFunc(pid int) replication.SnapshotFunc {
-	return func() (*replication.Snapshot, error) {
-		c.mu.RLock()
-		exec := c.execs[pid]
-		feed := c.feeds[pid]
-		c.mu.RUnlock()
-		if exec == nil || feed == nil {
-			return nil, fmt.Errorf("cluster: partition %d gone", pid)
-		}
-		var snap *replication.Snapshot
-		err := exec.Do(func(p *storage.Partition) (int, error) {
-			s := &replication.Snapshot{Tables: p.Tables(), LSN: feed.LSN(), Epoch: feed.Epoch()}
-			for _, b := range p.OwnedBuckets() {
-				data, err := p.CopyBucket(b)
-				if err != nil {
-					return 0, err
-				}
-				s.Buckets = append(s.Buckets, data)
+// snapshot is the consistent-cut provider of the record's feed: the cut
+// runs inside the record's own executor, so it can never interleave with
+// the feed's appends and the captured LSN is exact.
+func (r *primary) snapshot() (*replication.Snapshot, error) {
+	var snap *replication.Snapshot
+	err := r.exec.Do(func(p *storage.Partition) (int, error) {
+		s := &replication.Snapshot{Tables: p.Tables(), LSN: r.feed.LSN(), Epoch: r.feed.Epoch()}
+		for _, b := range p.OwnedBuckets() {
+			data, err := p.CopyBucket(b)
+			if err != nil {
+				return 0, err
 			}
-			snap = s
-			return 0, nil
-		})
-		if err != nil {
-			return nil, err
+			s.Buckets = append(s.Buckets, data)
 		}
-		return snap, nil
+		snap = s
+		return 0, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return snap, nil
 }
 
 // startReplicationStandbys spawns the initial replicas and the failover
 // monitor. Called once from New after routing is published.
 func (c *Cluster) startReplicationStandbys() {
 	c.mu.Lock()
-	pids := make([]int, 0, len(c.execs))
-	for pid := range c.execs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
+	for _, pid := range sortedPids(c.primaries) {
 		c.spawnReplicasLocked(pid)
 	}
 	stop := make(chan struct{})
@@ -188,28 +131,16 @@ func (c *Cluster) stopMonitor() {
 	}
 }
 
-// nodeOfPartitionLocked returns the ID of the node hosting the partition's
-// primary, or -1.
-func (c *Cluster) nodeOfPartitionLocked(pid int) int {
-	for _, n := range c.nodes {
-		for _, p := range n.Partitions {
-			if p == pid {
-				return n.ID
-			}
-		}
-	}
-	return -1
-}
-
 // spawnReplicasLocked tops the partition's standby count back up to k,
 // placing new replicas on alive nodes that host neither the primary nor an
 // existing replica (falling back to any alive node when the cluster is too
 // small for strict anti-affinity). Caller holds c.mu.
 func (c *Cluster) spawnReplicasLocked(pid int) {
-	if c.stopped || c.respawnPaused {
+	r := c.primaries[pid]
+	if c.stopped || c.respawnPaused || r == nil {
 		return
 	}
-	used := map[int]bool{c.nodeOfPartitionLocked(pid): true}
+	used := map[int]bool{r.node: true}
 	serving := 0
 	for _, h := range c.replicas[pid] {
 		if h.rep.Serving() {
@@ -255,7 +186,7 @@ func (c *Cluster) newStandbyLocked(pid, nid int) *replication.Replica {
 	node := fmt.Sprintf("node-%d", nid)
 	if c.cfg.DataDir != "" {
 		dir := c.replicaDir(pid, nid)
-		if dir != c.homes[pid] {
+		if r := c.primaries[pid]; r == nil || dir != r.home {
 			rep, err := replication.OpenReplica(pid, c.cfg.NBuckets, node, c.cfg.Registry, dir, c.cfg.Durability, c.replOpts(), c.events)
 			if err != nil {
 				// A corrupt or half-written directory must not wedge respawn
@@ -283,7 +214,10 @@ func (c *Cluster) tailConnWrap(pid, nid int) func(net.Conn) net.Conn {
 	remote := func() int {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
-		return c.nodeOfPartitionLocked(pid)
+		if r := c.primaries[pid]; r != nil {
+			return r.node
+		}
+		return -1
 	}
 	return func(conn net.Conn) net.Conn {
 		if inner != nil {
@@ -331,18 +265,9 @@ func (c *Cluster) probePrimaries(stop chan struct{}, strikes map[int]int, opts r
 		c.mu.RUnlock()
 		return
 	}
-	type probe struct {
-		pid  int
-		node int
-		exec *engine.Executor
-	}
-	probes := make([]probe, 0, len(c.execs))
-	for pid, e := range c.execs {
-		probes = append(probes, probe{pid, c.nodeOfPartitionLocked(pid), e})
-	}
+	recs := c.primariesLocked()
 	c.mu.RUnlock()
-	sort.Slice(probes, func(i, j int) bool { return probes[i].pid < probes[j].pid })
-	for _, pr := range probes {
+	for _, r := range recs {
 		select {
 		case <-stop:
 			return
@@ -352,30 +277,30 @@ func (c *Cluster) probePrimaries(stop chan struct{}, strikes map[int]int, opts r
 		// primary at all — not even to see that it stopped. That is a probe
 		// failure, never an immediate failover: the quorum vote decides
 		// whether "I can't see it" means "it is gone".
-		blocked := c.linkBlocked(MonitorNode, pr.node) || c.linkBlocked(pr.node, MonitorNode)
+		blocked := c.linkBlocked(MonitorNode, r.node) || c.linkBlocked(r.node, MonitorNode)
 		switch {
-		case !blocked && pr.exec.Stopped():
-			delete(strikes, pr.pid)
-			c.failoverPartition(pr.pid, pr.exec)
-		case blocked || !pr.exec.Healthy(opts.ProbeTimeout):
-			strikes[pr.pid]++
-			if strikes[pr.pid] >= opts.ProbeStrikes {
-				delete(strikes, pr.pid)
-				c.failoverPartition(pr.pid, pr.exec)
+		case !blocked && r.exec.Stopped():
+			delete(strikes, r.pid)
+			c.failoverPartition(r)
+		case blocked || !r.exec.Healthy(opts.ProbeTimeout):
+			strikes[r.pid]++
+			if strikes[r.pid] >= opts.ProbeStrikes {
+				delete(strikes, r.pid)
+				c.failoverPartition(r)
 			}
 		default:
-			delete(strikes, pr.pid)
+			delete(strikes, r.pid)
 		}
 	}
 }
 
-// sweepStalePrimaries demotes deposed primaries whose links to the monitor
-// have healed: fence, stop, crash — the rejoin path for a primary that kept
-// running through its own deposition. Its node then hosts a fresh resyncing
-// standby via the normal respawn pass.
+// sweepStalePrimaries kills deposed primaries whose links to the monitor
+// have healed — the rejoin path for a primary that kept running through its
+// own deposition. Its node then hosts a fresh resyncing standby via the
+// normal respawn pass.
 func (c *Cluster) sweepStalePrimaries() {
 	c.mu.Lock()
-	var demote []*stalePrimary
+	var demote []*primary
 	keep := c.stale[:0]
 	for _, s := range c.stale {
 		if !c.linkBlocked(MonitorNode, s.node) && !c.linkBlocked(s.node, MonitorNode) {
@@ -387,7 +312,7 @@ func (c *Cluster) sweepStalePrimaries() {
 	c.stale = keep
 	c.mu.Unlock()
 	for _, s := range demote {
-		s.teardown()
+		s.kill(false)
 		c.events.Add(metrics.EventReplStaleDemotions, 1)
 	}
 }
@@ -398,16 +323,12 @@ func (c *Cluster) sweepStalePrimaries() {
 // incarnation's log directory, which must not still be held open.
 func (c *Cluster) restoreReplicas() {
 	var doomed []*replicaHandle
-	var pids []int
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
 		return
 	}
-	for pid := range c.execs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
+	pids := sortedPids(c.primaries)
 	for _, pid := range pids {
 		keep := c.replicas[pid][:0]
 		for _, h := range c.replicas[pid] {
@@ -465,25 +386,25 @@ func (c *Cluster) deposeQuorum(primaryNode int, oldExec *engine.Executor, oldFee
 	return yes*2 > cohort
 }
 
-// failoverPartition deposes the partition's primary and promotes its most
-// caught-up serving replica: win the quorum vote, fence the old feed and its
-// epoch at the hub (nothing it holds may ever be acked), lift the replica's
-// in-memory partition into a new executor at epoch+1 — durably recording the
-// new epoch before it serves — and republish routing. The whole path touches
-// no log replay — the replica is already at the replicated horizon, which is
-// what makes failover a seconds-scale event.
-func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
+// failoverPartition deposes the partition's primary, old, and promotes its
+// most caught-up serving replica: win the quorum vote, pass the coverage
+// fence, kill old (or, unreachable, leave it to the stale sweep), raise the
+// hub's epoch floor (nothing old holds may ever be acked), lift the
+// replica's in-memory partition into a new record at epoch+1 and install it
+// — the new epoch and home durably recorded before it serves, its feed
+// registered last. The whole path touches no log replay — the replica is
+// already at the replicated horizon, which is what makes failover a
+// seconds-scale event.
+func (c *Cluster) failoverPartition(old *primary) {
 	c.failoverMu.Lock()
 	defer c.failoverMu.Unlock()
 
+	pid := old.pid
 	c.mu.Lock()
-	if c.stopped || c.execs[pid] != oldExec {
+	if c.stopped || c.primaries[pid] != old {
 		c.mu.Unlock()
 		return
 	}
-	oldFeed := c.feeds[pid]
-	oldMgr := c.durs[pid]
-	primaryNode := c.nodeOfPartitionLocked(pid)
 	var cohort []*replicaHandle
 	for _, h := range c.replicas[pid] {
 		if h.rep.Serving() && !c.deadNodes[h.node] {
@@ -491,17 +412,16 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 		}
 	}
 	c.mu.Unlock()
-	if oldFeed == nil {
+	if old.feed == nil {
 		return
 	}
 
-	if !c.deposeQuorum(primaryNode, oldExec, oldFeed, cohort) {
+	if !c.deposeQuorum(old.node, old.exec, old.feed, cohort) {
 		c.events.Add(metrics.EventReplPromotionsBlocked, 1)
 		return
 	}
 
-	primaryReachable := primaryNode < 0 ||
-		(!c.linkBlocked(MonitorNode, primaryNode) && !c.linkBlocked(primaryNode, MonitorNode))
+	primaryReachable := !c.linkBlocked(MonitorNode, old.node) && !c.linkBlocked(old.node, MonitorNode)
 
 	// Coverage fence. An armed feed never acks past its standbys, so any
 	// caught-up standby (or the seeding snapshot for the pre-arm prefix)
@@ -519,8 +439,8 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 	//   - reachable primary, in-memory cluster: promote the laggard anyway —
 	//     with no disk there is nowhere the head could have survived (§11.1).
 	forceDisk := false
-	if c.replOpts().RequiredSubscribers > 0 && !oldFeed.Armed() {
-		head := oldFeed.LSN()
+	if c.replOpts().RequiredSubscribers > 0 && !old.feed.Armed() {
+		head := old.feed.LSN()
 		covered := false
 		c.mu.RLock()
 		for _, h := range c.replicas[pid] {
@@ -543,22 +463,16 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 
 	c.events.Add(metrics.EventReplFailovers, 1)
 	if primaryReachable {
-		oldFeed.Fence()
-		if !oldExec.Stopped() {
-			// Wedged, not dead: drain it in the background. Its appends hit the
-			// fenced feed, so nothing it finishes can be acked or shipped.
-			go oldExec.Stop()
-		}
-		if oldMgr != nil {
-			oldMgr.Crash()
-		}
+		// Wedged, not dead: kill drains it in the background. Its appends
+		// hit the fenced feed, so nothing it finishes can be acked or shipped.
+		old.kill(false)
 	} else {
-		// The monitor cannot reach the deposed primary, so it cannot fence it
+		// The monitor cannot reach the deposed primary, so it cannot kill it
 		// in place (doing so through shared memory would cheat the partition).
 		// Hub-side epoch fencing below severs its subscribers, so it loses its
-		// ack quorum and self-fences; the sweep demotes it after the heal.
+		// ack quorum and self-fences; the sweep kills it after the heal.
 		c.mu.Lock()
-		c.stale = append(c.stale, &stalePrimary{pid: pid, node: primaryNode, exec: oldExec, feed: oldFeed, mgr: oldMgr})
+		c.stale = append(c.stale, old)
 		c.mu.Unlock()
 	}
 
@@ -583,7 +497,7 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 	c.mu.Unlock()
 
 	if best == nil {
-		c.restartFromDisk(pid, oldExec, oldFeed, primaryReachable)
+		c.restartFromDisk(old, primaryReachable)
 		return
 	}
 
@@ -594,19 +508,14 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 	for _, t := range c.cfg.Tables {
 		part.CreateTable(t)
 	}
-	newEpoch := oldFeed.Epoch()
-	if repEpoch > newEpoch {
-		newEpoch = repEpoch
-	}
-	newEpoch++
+	newEpoch := max(old.feed.Epoch(), repEpoch) + 1
 
 	// Raise the hub's fencing floor before the new feed exists: stale ship
 	// frames and subscriber streams below newEpoch are refused from here on,
 	// even if this promotion is then abandoned by a concurrent Stop.
 	c.hub.FencePartition(pid, newEpoch)
 
-	var mgr *durability.Manager
-	var home string
+	r := &primary{pid: pid, node: best.node, epoch: newEpoch}
 	switch {
 	case rmgr != nil:
 		// The standby's own command log is already fsynced to the replicated
@@ -614,8 +523,7 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 		// a second fault before the next snapshot still recovers every acked
 		// write from this same directory.
 		rmgr.Flush()
-		mgr = rmgr
-		home = best.rep.Dir()
+		r.mgr, r.home = rmgr, best.rep.Dir()
 	case c.cfg.DataDir != "":
 		// Non-durable standby: the old log is fenced history; the promoted
 		// state becomes the new durable baseline via a fresh snapshot at the
@@ -627,50 +535,13 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 			if serr := m.Snapshot(part); serr != nil {
 				m.Close()
 			} else {
-				mgr = m
-				home = c.partitionDir(pid)
+				r.mgr, r.home = m, c.partitionDir(pid)
 			}
 		}
 	}
-
-	ecfg := c.cfg.Engine
-	feed := replication.NewFeed(pid, mgr, newEpoch, applied, c.replOpts(), c.events)
-	feed.SetSnapshotFunc(c.partitionSnapshotFunc(pid))
-	ecfg.Log = feed
-	exec := engine.NewExecutor(part, c.cfg.Registry, ecfg)
-
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		exec.Stop() //pstore:ignore lockdiscipline — only failoverPartition takes failoverMu and this executor is freshly built: no goroutine it waits on can want the lock
-		feed.Close()
-		if mgr != nil {
-			mgr.Close()
-		}
-		return
+	if c.install(c.bringUp(r, part, applied), old) {
+		c.events.Add(metrics.EventReplPromotions, 1)
 	}
-	if mgr != nil {
-		c.durs[pid] = mgr
-		c.homes[pid] = home
-	} else {
-		delete(c.durs, pid)
-		delete(c.homes, pid)
-	}
-	c.feeds[pid] = feed
-	c.execs[pid] = exec
-	c.epochs[pid] = newEpoch
-	c.movePartitionLocked(pid, best.node)
-	if c.cfg.DataDir != "" {
-		// The durable fencing record: the new epoch and home hit the manifest
-		// before the promoted primary becomes routable.
-		c.writeManifestLocked()
-	}
-	c.publishRoutingLocked()
-	c.mu.Unlock()
-	if err := c.hub.Register(pid, feed); err != nil {
-		panic(fmt.Sprintf("cluster: registering promoted partition %d feed: %v", pid, err))
-	}
-	c.events.Add(metrics.EventReplPromotions, 1)
 }
 
 // restartFromDisk is the slow-path failover when no promotable replica
@@ -680,21 +551,16 @@ func (c *Cluster) failoverPartition(pid int, oldExec *engine.Executor) {
 // loses no acked write. A primary the monitor cannot reach is never
 // restarted over: its log may still be live on the far side of the
 // partition, so the pid stays down until the sweep demotes it post-heal.
-func (c *Cluster) restartFromDisk(pid int, oldExec *engine.Executor, oldFeed *replication.Feed, primaryReachable bool) {
+func (c *Cluster) restartFromDisk(old *primary, primaryReachable bool) {
 	if c.cfg.DataDir == "" || !primaryReachable {
 		return // nothing safe to recover from; the partition stays down
 	}
-	c.mu.RLock()
-	home, ok := c.homes[pid]
-	c.mu.RUnlock()
-	if !ok {
-		home = c.partitionDir(pid)
+	home := old.home
+	if home == "" {
+		home = c.partitionDir(old.pid)
 	}
-	part := storage.NewPartition(pid, c.cfg.NBuckets, nil)
-	for _, t := range c.cfg.Tables {
-		part.CreateTable(t)
-	}
-	mgr, err := durability.Open(home, pid, c.cfg.Durability)
+	part := c.newPartition(old.pid, nil)
+	mgr, err := durability.Open(home, old.pid, c.cfg.Durability)
 	if err != nil {
 		return
 	}
@@ -702,33 +568,12 @@ func (c *Cluster) restartFromDisk(pid int, oldExec *engine.Executor, oldFeed *re
 		mgr.Close()
 		return
 	}
-	newEpoch := oldFeed.Epoch() + 1
-	c.hub.FencePartition(pid, newEpoch)
-	ecfg := c.cfg.Engine
-	feed := replication.NewFeed(pid, mgr, newEpoch, mgr.Seq(), c.replOpts(), c.events)
-	feed.SetSnapshotFunc(c.partitionSnapshotFunc(pid))
-	ecfg.Log = feed
-	exec := engine.NewExecutor(part, c.cfg.Registry, ecfg)
-	c.mu.Lock()
-	if c.stopped || c.execs[pid] != oldExec {
-		c.mu.Unlock()
-		exec.Stop()
-		feed.Close()
-		mgr.Close()
-		return
+	newEpoch := old.feed.Epoch() + 1
+	c.hub.FencePartition(old.pid, newEpoch)
+	r := &primary{pid: old.pid, node: old.node, mgr: mgr, home: home, epoch: newEpoch}
+	if c.install(c.bringUp(r, part, mgr.Seq()), old) {
+		c.events.Add(metrics.EventReplPromotions, 1)
 	}
-	c.durs[pid] = mgr
-	c.homes[pid] = home
-	c.feeds[pid] = feed
-	c.execs[pid] = exec
-	c.epochs[pid] = newEpoch
-	c.writeManifestLocked()
-	c.publishRoutingLocked()
-	c.mu.Unlock()
-	if err := c.hub.Register(pid, feed); err != nil {
-		panic(fmt.Sprintf("cluster: registering recovered partition %d feed: %v", pid, err))
-	}
-	c.events.Add(metrics.EventReplPromotions, 1)
 }
 
 // movePartitionLocked reassigns the partition to the given node in the
@@ -791,18 +636,7 @@ func (c *Cluster) KillNode(id int) error {
 	}
 	c.deadNodes[id] = true
 	pids := append([]int(nil), node.Partitions...)
-	var doomed []*replicaHandle
-	for pid, hs := range c.replicas { //pstore:ignore determinism — kill sweep; every doomed handle dies, order across partitions is unobservable
-		keep := hs[:0]
-		for _, h := range hs {
-			if h.node == id {
-				doomed = append(doomed, h)
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		c.replicas[pid] = keep
-	}
+	doomed := c.evictReplicasLocked(id)
 	c.mu.Unlock()
 
 	for _, h := range doomed {
@@ -815,22 +649,33 @@ func (c *Cluster) KillNode(id int) error {
 	return nil
 }
 
+// evictReplicasLocked removes every standby hosted on the node from its
+// partition's set, walking partitions in pid order, and returns them for
+// the caller to kill outside the lock. Caller holds c.mu.
+func (c *Cluster) evictReplicasLocked(node int) []*replicaHandle {
+	var evicted []*replicaHandle
+	for _, pid := range sortedPids(c.replicas) {
+		keep := c.replicas[pid][:0]
+		for _, h := range c.replicas[pid] {
+			if h.node == node {
+				evicted = append(evicted, h)
+			} else {
+				keep = append(keep, h)
+			}
+		}
+		c.replicas[pid] = keep
+	}
+	return evicted
+}
+
 // KillPartition kills one partition's primary in place: fence, crash the
 // log, stop the executor. The monitor's next probe triggers the failover.
 func (c *Cluster) KillPartition(pid int) {
 	c.mu.RLock()
-	feed := c.feeds[pid]
-	mgr := c.durs[pid]
-	exec := c.execs[pid]
+	r := c.primaries[pid]
 	c.mu.RUnlock()
-	if feed != nil {
-		feed.Fence()
-	}
-	if mgr != nil {
-		mgr.Crash()
-	}
-	if exec != nil {
-		exec.Stop()
+	if r != nil {
+		r.kill(true)
 	}
 }
 
@@ -944,12 +789,15 @@ func (c *Cluster) WaitReplicasCaughtUp(timeout time.Duration) error {
 	for {
 		behind := ""
 		c.mu.RLock()
-		for pid, feed := range c.feeds { //pstore:ignore determinism — observability only: the timeout error names one arbitrary lagging replica
-			target := feed.LSN()
-			for _, h := range c.replicas[pid] {
+		for _, r := range c.primariesLocked() {
+			if r.feed == nil {
+				continue
+			}
+			target := r.feed.LSN()
+			for _, h := range c.replicas[r.pid] {
 				if h.rep.Serving() && !c.deadNodes[h.node] && h.rep.Applied() < target {
 					behind = fmt.Sprintf("partition %d replica on node-%d at %d, feed at %d",
-						pid, h.node, h.rep.Applied(), target)
+						r.pid, h.node, h.rep.Applied(), target)
 				}
 			}
 		}
@@ -998,38 +846,35 @@ func partitionChecksum(p *storage.Partition) (uint64, int, error) {
 // content to its primary (checksum + row count). Run it quiesced, after
 // WaitReplicasCaughtUp.
 func (c *Cluster) VerifyReplicas() error {
-	c.mu.RLock()
-	pids := make([]int, 0, len(c.feeds))
-	for pid := range c.feeds {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
 	type target struct {
-		exec *engine.Executor
-		feed *replication.Feed
+		r    *primary
 		reps []*replicaHandle
 	}
-	targets := make(map[int]target, len(pids))
-	for _, pid := range pids {
-		t := target{exec: c.execs[pid], feed: c.feeds[pid]}
-		for _, h := range c.replicas[pid] {
+	var targets []target
+	c.mu.RLock()
+	for _, r := range c.primariesLocked() {
+		if r.feed == nil {
+			continue
+		}
+		t := target{r: r}
+		for _, h := range c.replicas[r.pid] {
 			if h.rep.Serving() && !c.deadNodes[h.node] {
 				t.reps = append(t.reps, h)
 			}
 		}
-		targets[pid] = t
+		targets = append(targets, t)
 	}
 	c.mu.RUnlock()
 
-	for _, pid := range pids {
-		t := targets[pid]
-		if t.exec == nil || len(t.reps) == 0 {
+	for _, t := range targets {
+		if len(t.reps) == 0 {
 			continue
 		}
-		head := t.feed.LSN()
+		pid := t.r.pid
+		head := t.r.feed.LSN()
 		var psum uint64
 		var prows int
-		err := t.exec.Do(func(p *storage.Partition) (int, error) {
+		err := t.r.exec.Do(func(p *storage.Partition) (int, error) {
 			var perr error
 			psum, prows, perr = partitionChecksum(p)
 			return 0, perr
@@ -1100,8 +945,11 @@ func (c *Cluster) ReplicationStats() ReplicationStats {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for pid, feed := range c.feeds {
-		head := feed.LSN()
+	for pid, r := range c.primaries {
+		if r.feed == nil {
+			continue
+		}
+		head := r.feed.LSN()
 		for _, h := range c.replicas[pid] {
 			if !h.rep.Serving() || c.deadNodes[h.node] {
 				continue
