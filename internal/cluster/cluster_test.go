@@ -77,6 +77,7 @@ func TestClusterBasicRouting(t *testing.T) {
 	if c.OfferedLoad().Total() != 200 {
 		t.Errorf("offered = %d, want 200", c.OfferedLoad().Total())
 	}
+	checkWiring(t, c)
 }
 
 func TestClusterValidation(t *testing.T) {
@@ -132,6 +133,7 @@ func TestClusterAddRemoveNode(t *testing.T) {
 	if len(node.Partitions) != 2 {
 		t.Errorf("new node partitions = %v", node.Partitions)
 	}
+	checkWiring(t, c)
 	// New node owns nothing → removable.
 	if err := c.RemoveNode(node.ID); err != nil {
 		t.Fatal(err)
@@ -139,6 +141,7 @@ func TestClusterAddRemoveNode(t *testing.T) {
 	if c.NumNodes() != 2 {
 		t.Errorf("NumNodes = %d after remove", c.NumNodes())
 	}
+	checkWiring(t, c)
 	// Nodes owning buckets are not removable.
 	first := c.Nodes()[0]
 	if err := c.RemoveNode(first.ID); err == nil {

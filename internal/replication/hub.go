@@ -102,6 +102,13 @@ func (h *Hub) MinEpoch(part int) uint64 {
 	return h.minEpochs[part]
 }
 
+// Registered returns the partition's registered feed, or nil.
+func (h *Hub) Registered(part int) *Feed {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.feeds[part]
+}
+
 // Deregister removes the partition's feed; new subscribers are refused.
 func (h *Hub) Deregister(part int) {
 	h.mu.Lock()
