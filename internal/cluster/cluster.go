@@ -47,16 +47,10 @@ type Config struct {
 	// Engine configures every executor.
 	Engine engine.Config
 	// RetryInterval is the backoff between routing retries when a key's
-	// bucket is in flight during a migration. Defaults to 200µs.
+	// bucket is in flight during a migration. Defaults to 200µs. A
+	// transaction retries for at most retryBudget, and at most
+	// retryBudget / RetryInterval times.
 	RetryInterval time.Duration
-	// RetryBudget bounds how long a transaction keeps retrying before
-	// giving up. Defaults to 10s.
-	RetryBudget time.Duration
-	// RetryAttempts caps how many times a transaction is requeued while its
-	// bucket is in flight, independent of RetryBudget, so the in-between
-	// window of a bucket move can never spin unboundedly even with a tiny
-	// RetryInterval. Defaults to RetryBudget / RetryInterval.
-	RetryAttempts int
 	// LatencyWindow is the aggregation window of the cluster's latency
 	// percentiles (the paper windows by second; compressed-time
 	// experiments use shorter windows). Defaults to 1s.
@@ -75,9 +69,6 @@ type Config struct {
 	ReplicationFactor int
 	// Replication tunes log shipping when ReplicationFactor > 0.
 	Replication replication.Options
-	// ReplicationConnWrap, when set, wraps every log-shipping connection
-	// (both hub-accepted and tail-dialed) — the fault injection hook.
-	ReplicationConnWrap func(net.Conn) net.Conn
 	// Links, when set, is the network-partition matrix the cluster consults
 	// for its in-process control paths: the failover monitor's probes and
 	// its quorum vote honor blocked monitor↔node links instead of cheating
@@ -88,6 +79,11 @@ type Config struct {
 	// resolver). The resolver is consulted per I/O so a tail tracks the
 	// primary across failovers.
 	LinkConnWrap func(conn net.Conn, local int, remote func() int) net.Conn
+
+	// retryAttempts, when positive, caps routing attempts below the
+	// retryBudget / RetryInterval the cap otherwise derives from; in-package
+	// tests set it.
+	retryAttempts int
 }
 
 // Links is the cluster's view of a fault-injection partition matrix.
@@ -109,22 +105,18 @@ func (c Config) retryInterval() time.Duration {
 	return c.RetryInterval
 }
 
-func (c Config) retryBudget() time.Duration {
-	if c.RetryBudget <= 0 {
-		return 10 * time.Second
-	}
-	return c.RetryBudget
-}
+// retryBudget bounds how long a transaction keeps retrying before giving
+// up.
+const retryBudget = 10 * time.Second
 
-func (c Config) retryAttempts() int {
-	if c.RetryAttempts > 0 {
-		return c.RetryAttempts
+// attemptCap is how many times a transaction is requeued while its bucket
+// is in flight, independent of retryBudget, so the in-between window of a
+// bucket move can never spin unboundedly even with a tiny RetryInterval.
+func (c Config) attemptCap() int {
+	if c.retryAttempts > 0 {
+		return c.retryAttempts
 	}
-	n := int(c.retryBudget() / c.retryInterval())
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, int(retryBudget/c.retryInterval()))
 }
 
 // Node is one machine in the cluster, hosting PartitionsPerNode executors.
@@ -564,11 +556,7 @@ func (c *Cluster) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := c.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.manifestPath())
+	return durability.ReplaceFile(c.manifestPath(), raw)
 }
 
 // decodeManifest parses a manifest and refuses one recovery cannot trust,
@@ -1077,8 +1065,8 @@ func (c *Cluster) Call(txn *engine.Txn) engine.Result {
 //
 // A transaction that never ran — its bucket in flight between partitions,
 // its executor stopped or fenced mid-route, its primary below the write
-// quorum — is retried, bounded both in time (RetryBudget) and in attempts
-// (RetryAttempts), and every retry is counted in Events as a migration
+// quorum — is retried, bounded both in time (retryBudget) and in attempts
+// (attemptCap), and every retry is counted in Events as a migration
 // retry: a transaction can observe the in-between window of a bucket move,
 // but never spin in it unboundedly or silently. Overload fast-fails
 // (engine.ErrOverloaded) are never retried here: shedding exists to cut
@@ -1155,8 +1143,8 @@ func (a *call) Complete(res engine.Result) {
 	c := a.c
 	if errors.Is(res.Err, engine.ErrOverloaded) {
 		c.events.Add(metrics.EventShed, 1)
-	} else if retriable(res.Err) && a.attempts < c.cfg.retryAttempts() &&
-		time.Since(a.start) <= c.cfg.retryBudget() {
+	} else if retriable(res.Err) && a.attempts < c.cfg.attemptCap() &&
+		time.Since(a.start) <= retryBudget {
 		c.events.Add(metrics.EventMigrationRetries, 1)
 		if a.retry == nil {
 			// Created unarmed, so the field is set before attempt can run.
@@ -1307,11 +1295,7 @@ func (c *Cluster) ShedTotal() int64 {
 // client that waits this long before retrying arrives when roughly half the
 // backlog has cleared instead of piling onto a saturated queue.
 func (c *Cluster) ShedRetryAfter() time.Duration {
-	depth := c.cfg.Engine.QueueDepth
-	if depth <= 0 {
-		depth = 8192
-	}
-	hint := time.Duration(depth) * c.cfg.Engine.ServiceTime / 2
+	hint := time.Duration(c.cfg.Engine.QueueCapacity()) * c.cfg.Engine.ServiceTime / 2
 	if hint < time.Millisecond {
 		hint = time.Millisecond
 	}

@@ -271,7 +271,7 @@ func strayCluster(t *testing.T, attempts *atomic.Int64, restoreAt int64, retryAt
 		_, _, err := tx.Get("T", tx.Key)
 		return err
 	})
-	cfg.RetryAttempts = retryAttempts
+	cfg.retryAttempts = retryAttempts
 	cfg.RetryInterval = interval
 	c, err := New(cfg)
 	if err != nil {
@@ -287,7 +287,7 @@ func strayCluster(t *testing.T, attempts *atomic.Int64, restoreAt int64, retryAt
 }
 
 // TestRetryBudgetSameSyncAndAsync pins one attempt budget for every routed
-// call: with RetryAttempts 3 and a key whose bucket is routed to a
+// call: with a 3-attempt cap and a key whose bucket is routed to a
 // partition that does not own it, Call and CallAsync each make exactly 3
 // attempts, count 2 migration retries and return NotOwned — and a call
 // whose bucket's owner is restored mid-budget succeeds.

@@ -304,7 +304,7 @@ func manifestSeeds(f *testing.F) [][]byte {
 	}
 	cfg := replConfig(1)
 	cfg.Replication = replication.Options{Seed: 1, HealthInterval: 10 * time.Millisecond,
-		ProbeTimeout: 50 * time.Millisecond, ProbeStrikes: 3, AckTimeout: 200 * time.Millisecond}
+		AckTimeout: 200 * time.Millisecond}
 	cfg.DataDir = dir
 	c, err := New(cfg)
 	if err != nil {

@@ -74,9 +74,6 @@ func (c *Cluster) initReplication() error {
 	c.replicas = make(map[int][]*replicaHandle)
 	c.deadNodes = make(map[int]bool)
 	c.hub = replication.NewHub(c.replOpts(), c.events)
-	if c.cfg.ReplicationConnWrap != nil {
-		c.hub.SetConnWrapper(c.cfg.ReplicationConnWrap)
-	}
 	if err := c.hub.Listen("127.0.0.1:0"); err != nil {
 		return fmt.Errorf("cluster: replication hub: %w", err)
 	}
@@ -202,14 +199,13 @@ func (c *Cluster) newStandbyLocked(pid, nid int) *replication.Replica {
 	return replication.NewReplica(pid, c.cfg.NBuckets, node, c.cfg.Registry, c.replOpts(), c.events)
 }
 
-// tailConnWrap composes the fault-injection connection wrapper with the
-// directed link matrix for a standby on node nid: the remote endpoint is
-// resolved per I/O operation, so the wrapped link follows the partition's
-// primary across failovers.
+// tailConnWrap wraps a standby's connections on node nid with the directed
+// link matrix, nil without one: the remote endpoint is resolved per I/O
+// operation, so the wrapped link follows the partition's primary across
+// failovers.
 func (c *Cluster) tailConnWrap(pid, nid int) func(net.Conn) net.Conn {
-	inner := c.cfg.ReplicationConnWrap
 	if c.cfg.LinkConnWrap == nil {
-		return inner
+		return nil
 	}
 	remote := func() int {
 		c.mu.RLock()
@@ -220,9 +216,6 @@ func (c *Cluster) tailConnWrap(pid, nid int) func(net.Conn) net.Conn {
 		return -1
 	}
 	return func(conn net.Conn) net.Conn {
-		if inner != nil {
-			conn = inner(conn)
-		}
 		return c.cfg.LinkConnWrap(conn, nid, remote)
 	}
 }
@@ -236,9 +229,19 @@ func (c *Cluster) SetRespawnPaused(v bool) {
 	c.mu.Unlock()
 }
 
+// The failover monitor's probe: one probe of a primary waits
+// probeIntervals health intervals (250ms at the default 50ms — far above
+// chaos freeze windows, so brief injected freezes never trip a failover),
+// and probeStrikes consecutive failed probes depose a hung (but not
+// stopped) primary.
+const (
+	probeIntervals = 5
+	probeStrikes   = 3
+)
+
 // monitorLoop is the failover monitor: every HealthInterval it probes each
 // primary executor (a stopped one fails over immediately; a wedged or
-// unreachable one is deposed after ProbeStrikes consecutive probe failures,
+// unreachable one is deposed after probeStrikes consecutive probe failures,
 // subject to the quorum vote), sweeps deposed-but-unreachable primaries
 // whose links have healed, and respawns standbys for partitions below k.
 func (c *Cluster) monitorLoop(stop, done chan struct{}) {
@@ -282,9 +285,9 @@ func (c *Cluster) probePrimaries(stop chan struct{}, strikes map[int]int, opts r
 		case !blocked && r.exec.Stopped():
 			delete(strikes, r.pid)
 			c.failoverPartition(r)
-		case blocked || !r.exec.Healthy(opts.ProbeTimeout):
+		case blocked || !r.exec.Healthy(probeIntervals*opts.HealthInterval):
 			strikes[r.pid]++
-			if strikes[r.pid] >= opts.ProbeStrikes {
+			if strikes[r.pid] >= probeStrikes {
 				delete(strikes, r.pid)
 				c.failoverPartition(r)
 			}

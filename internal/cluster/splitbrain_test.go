@@ -29,14 +29,12 @@ func chaosSeed(t *testing.T) int64 {
 	return n
 }
 
-// fastReplOpts are failover timings scaled for tests: probes every 10ms,
-// three strikes, subscriber ack timeout 200ms.
+// fastReplOpts are failover timings scaled for tests: probes every 10ms
+// (each waiting 50ms), subscriber ack timeout 200ms.
 func fastReplOpts(t *testing.T) replication.Options {
 	return replication.Options{
 		Seed:           chaosSeed(t),
 		HealthInterval: 10 * time.Millisecond,
-		ProbeTimeout:   50 * time.Millisecond,
-		ProbeStrikes:   3,
 		AckTimeout:     200 * time.Millisecond,
 	}
 }
@@ -583,7 +581,7 @@ func TestProbeStrikeAccounting(t *testing.T) {
 	}
 	defer c.Stop()
 
-	opts := replication.Options{ProbeTimeout: 50 * time.Millisecond, ProbeStrikes: 3}.Normalized()
+	opts := replication.Options{HealthInterval: 10 * time.Millisecond}.Normalized()
 	strikes := make(map[int]int)
 	stop := make(chan struct{})
 	node0 := c.Nodes()[0]
@@ -597,7 +595,7 @@ func TestProbeStrikeAccounting(t *testing.T) {
 	// Asymmetric block (node cannot reach the monitor) is still a failed
 	// observation: strikes accumulate once per probe round.
 	m.Block(node0.ID, MonitorNode)
-	for want := 1; want < opts.ProbeStrikes; want++ {
+	for want := 1; want < probeStrikes; want++ {
 		c.probePrimaries(stop, strikes, opts)
 		if strikes[pid] != want {
 			t.Fatalf("strikes[%d] = %d after %d blocked probes, want %d", pid, strikes[pid], want, want)

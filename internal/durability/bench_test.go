@@ -67,10 +67,7 @@ func BenchmarkDurabilityOverhead(b *testing.B) {
 		benchmarkExecutorWrites(b, nil)
 	})
 	b.Run("group-commit", func(b *testing.B) {
-		benchmarkExecutorWrites(b, &Options{
-			GroupCommitInterval: 2 * time.Millisecond,
-			GroupCommitBatch:    64,
-		})
+		benchmarkExecutorWrites(b, &Options{GroupCommitInterval: 2 * time.Millisecond})
 	})
 	b.Run("fsync-every-txn", func(b *testing.B) {
 		benchmarkExecutorWrites(b, &Options{SyncEvery: true})

@@ -132,7 +132,7 @@ func TestLogRejectsLSNNotNext(t *testing.T) {
 // refuse every later write as out of order.
 func TestLogTakesLSNWhenRotationFails(t *testing.T) {
 	dir := t.TempDir()
-	m := openTestManager(t, dir, Options{SegmentBytes: 1})
+	m := openTestManager(t, dir, Options{segmentBytes: 1})
 	// A directory where the next segment belongs makes its creation fail.
 	blocker := filepath.Join(dir, segmentName(1))
 	if err := os.Mkdir(blocker, 0o755); err != nil {

@@ -177,7 +177,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{GroupCommitInterval: 500 * time.Microsecond, SegmentBytes: 512}
+	opts := Options{GroupCommitInterval: 500 * time.Microsecond, segmentBytes: 512}
 	m := openTestManager(t, dir, opts)
 	for i := 0; i < 100; i++ {
 		appendSync(t, m, "set", fmt.Sprintf("k%d", i), map[string]string{"v": "x"})
@@ -284,7 +284,7 @@ func TestBucketHandoffReplay(t *testing.T) {
 func TestCrashDropsOnlyUnacked(t *testing.T) {
 	dir := t.TempDir()
 	// Long group-commit interval so un-synced data really is buffered.
-	opts := Options{GroupCommitInterval: time.Hour, GroupCommitBatch: 1 << 30}
+	opts := Options{GroupCommitInterval: time.Hour}
 	m := openTestManager(t, dir, opts)
 	for i := 0; i < 5; i++ {
 		// Acked by the Flush that covers it. No durable callback: one would
@@ -479,5 +479,34 @@ func TestSchemaEvolutionReplay(t *testing.T) {
 		if !reflect.DeepEqual(row.Cols, want) {
 			t.Errorf("%s = %v, want %v", key, row.Cols, want)
 		}
+	}
+}
+
+// TestReplaceFile: ReplaceFile swaps a file's content and leaves no .tmp
+// behind; a write that fails leaves the old file byte-identical. That the
+// file and directory fsyncs ran is not observable without a power cut.
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "meta")
+	for _, want := range []string{"first", "second, longer"} {
+		if err := ReplaceFile(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("content = %q, %v; want %q", got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temporary file left behind: %v", err)
+		}
+	}
+	// A directory where the temporary file belongs makes the write fail.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(path, []byte("third")); err == nil {
+		t.Fatal("ReplaceFile reported success although its temporary file could not be written")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "second, longer" {
+		t.Fatalf("failed replace changed the file: %q, %v", got, err)
 	}
 }

@@ -19,12 +19,6 @@ type Options struct {
 	SyncEvery bool
 	// GroupCommitInterval is the group-commit fsync cadence. Default 2ms.
 	GroupCommitInterval time.Duration
-	// GroupCommitBatch syncs early once this many acks are pending.
-	// Default 64.
-	GroupCommitBatch int
-	// SegmentBytes rotates the log when the active segment exceeds it.
-	// Default 4 MiB.
-	SegmentBytes int64
 	// SnapshotInterval is how often the owner (the cluster) should snapshot
 	// the partition and truncate the log. Zero disables periodic snapshots;
 	// the log then only truncates at explicit snapshots (shutdown,
@@ -32,6 +26,10 @@ type Options struct {
 	// need exclusive partition access, which only the executor's owner can
 	// arrange.
 	SnapshotInterval time.Duration
+
+	// segmentBytes starts at defaultSegmentBytes; in-package tests shrink
+	// it to force segment rotation.
+	segmentBytes int64
 }
 
 // ReplayStats summarizes a recovery.
@@ -78,11 +76,7 @@ func Open(dir string, partition int, opts Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l, err := openWAL(dir, walOptions{
-		syncInterval: opts.GroupCommitInterval,
-		batchSize:    opts.GroupCommitBatch,
-		segmentBytes: opts.SegmentBytes,
-	})
+	l, err := openWAL(dir, opts)
 	if err != nil {
 		return nil, err
 	}

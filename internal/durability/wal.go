@@ -8,7 +8,8 @@
 //
 // Writes are acknowledged by *group commit*: appends accumulate in an OS
 // buffer and a background committer fsyncs them in batches (configurable
-// interval and batch size), amortizing the fsync cost across transactions.
+// interval, fixed early-wake batch size), amortizing the fsync cost across
+// transactions.
 // A per-append sync mode exists for comparison (see
 // BenchmarkDurabilityOverhead).
 package durability
@@ -40,21 +41,14 @@ type durableCb struct {
 	fn  func(uint64, error)
 }
 
-// walOptions tunes the log. Zero values select the defaults documented on
-// Options.
-type walOptions struct {
-	syncInterval time.Duration
-	batchSize    int
-	segmentBytes int64
-}
-
 // wal is a segmented append-only record log with group commit. Appends come
 // from a single writer (the partition's executor goroutine); the background
 // committer is the only other goroutine touching the file, and all shared
 // state is guarded by mu.
 type wal struct {
-	dir  string
-	opts walOptions
+	dir          string
+	syncInterval time.Duration // group-commit cadence
+	segmentBytes int64         // the active segment rotates once it reaches this
 
 	mu      sync.Mutex
 	file    *os.File
@@ -80,7 +74,11 @@ type wal struct {
 
 const (
 	defaultSyncInterval = 2 * time.Millisecond
-	defaultBatchSize    = 64
+	// groupCommitBatch wakes the committer early once this many durable
+	// callbacks are pending.
+	groupCommitBatch = 64
+	// defaultSegmentBytes is the segment rotation size; in-package tests
+	// shrink it through Options.segmentBytes.
 	defaultSegmentBytes = 4 << 20
 	frameHeaderSize     = 8       // uint32 length + uint32 crc32
 	maxFrame            = 1 << 30 // a larger length field is garbage, not a record
@@ -126,12 +124,9 @@ func listNumbered(dir, prefix, ext string) ([]int, error) {
 
 // openWAL opens the log in dir, starting a fresh segment after the highest
 // existing one (recovery never appends to a possibly-torn tail).
-func openWAL(dir string, opts walOptions) (*wal, error) {
-	if opts.syncInterval <= 0 {
-		opts.syncInterval = defaultSyncInterval
-	}
-	if opts.batchSize <= 0 {
-		opts.batchSize = defaultBatchSize
+func openWAL(dir string, opts Options) (*wal, error) {
+	if opts.GroupCommitInterval <= 0 {
+		opts.GroupCommitInterval = defaultSyncInterval
 	}
 	if opts.segmentBytes <= 0 {
 		opts.segmentBytes = defaultSegmentBytes
@@ -145,11 +140,12 @@ func openWAL(dir string, opts walOptions) (*wal, error) {
 		next = segs[len(segs)-1] + 1
 	}
 	l := &wal{
-		dir:  dir,
-		opts: opts,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		dir:          dir,
+		syncInterval: opts.GroupCommitInterval,
+		segmentBytes: opts.segmentBytes,
+		wake:         make(chan struct{}, 1),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, err
@@ -194,6 +190,33 @@ func (l *wal) openSegmentLocked(n int) error {
 	return syncDir(l.dir)
 }
 
+// ReplaceFile atomically and durably replaces path's content with data:
+// it writes and fsyncs path.tmp, renames it over path and fsyncs the
+// directory, so after a crash path holds either the old or the new bytes.
+// For small metadata files; snapshots stream through their own writer.
+func ReplaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // syncDir fsyncs a directory so renames/creates within it are durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -224,7 +247,7 @@ func (l *wal) append(payload []byte, cb durableCb) (written bool, err error) {
 		return false, err
 	}
 	l.segSize += int64(frameHeaderSize + len(payload))
-	if l.segSize >= l.opts.segmentBytes {
+	if l.segSize >= l.segmentBytes {
 		if err := l.openSegmentLocked(l.seg + 1); err != nil {
 			l.mu.Unlock()
 			return true, err
@@ -240,7 +263,7 @@ func (l *wal) append(payload []byte, cb durableCb) (written bool, err error) {
 	if cb.fn != nil {
 		l.pending = append(l.pending, cb)
 	}
-	full := len(l.pending) >= l.opts.batchSize
+	full := len(l.pending) >= groupCommitBatch
 	l.mu.Unlock()
 	if eager || full {
 		select {
@@ -399,7 +422,7 @@ func runDurableCbs(cbs []durableCb, err error) {
 // batch fills.
 func (l *wal) committer() {
 	defer close(l.done)
-	ticker := time.NewTicker(l.opts.syncInterval)
+	ticker := time.NewTicker(l.syncInterval)
 	defer ticker.Stop()
 	for {
 		select {

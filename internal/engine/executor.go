@@ -38,7 +38,9 @@ type Config struct {
 	Log CommandLog
 }
 
-func (c Config) queueDepth() int {
+// QueueCapacity is the executor's task-queue bound: QueueDepth, or 8192
+// when unset.
+func (c Config) QueueCapacity() int {
 	if c.QueueDepth <= 0 {
 		return 8192
 	}
@@ -148,7 +150,7 @@ func NewExecutor(part *storage.Partition, reg *Registry, cfg Config) *Executor {
 		cfg:   cfg,
 		part:  part,
 		reg:   reg,
-		queue: make(chan task, cfg.queueDepth()),
+		queue: make(chan task, cfg.QueueCapacity()),
 		prio:  make(chan task, 256),
 		done:  make(chan struct{}),
 		quit:  make(chan struct{}),

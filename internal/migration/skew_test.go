@@ -26,8 +26,6 @@ func TestScaleRefusedAfterFailoverSkew(t *testing.T) {
 		Replication: replication.Options{
 			Seed:           1,
 			HealthInterval: 10 * time.Millisecond,
-			ProbeTimeout:   50 * time.Millisecond,
-			ProbeStrikes:   3,
 			AckTimeout:     200 * time.Millisecond,
 		},
 	})

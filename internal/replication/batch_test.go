@@ -230,7 +230,7 @@ func TestDuplicateCumulativeAckCompletesOnce(t *testing.T) {
 // acks drain it.
 func TestAckWindowBackpressure(t *testing.T) {
 	events := newTestEvents()
-	f := NewFeed(0, nil, 1, 0, Options{Seed: 1, AckWindow: 2}, events)
+	f := NewFeed(0, nil, 1, 0, Options{Seed: 1, ackWindowCap: 2}, events)
 	defer f.Close()
 	att, err := f.Attach(0, 1)
 	if err != nil {
@@ -250,6 +250,34 @@ func TestAckWindowBackpressure(t *testing.T) {
 	att.Sub.Ack(2)
 	if err := f.Available(); err != nil {
 		t.Fatalf("drained window still unavailable: %v", err)
+	}
+}
+
+// TestGatherBatchCaps pins the coalescing caps of the ship stream: a batch
+// stops at maxBatchRecords records, or after the frame that brings it to
+// maxBatchBytes, and the first frame is always taken, however large.
+func TestGatherBatchCaps(t *testing.T) {
+	cases := []struct {
+		name               string
+		first, size, queue int // first frame's bytes; queued frames' bytes and count
+		wantRecs, wantLeft int
+	}{
+		{"record cap", 1, 1, 200, maxBatchRecords, 200 - (maxBatchRecords - 1)},
+		{"byte cap", 1000, 1000, 100, 66, 100 - 65}, // 66 000 bytes is the first total ≥ 64 KiB
+		{"oversized first frame", maxBatchBytes + 1, 1, 10, 1, 10},
+		{"empty queue", 1, 1, 0, 1, 0},
+	}
+	for _, tc := range cases {
+		frames := make(chan []byte, tc.queue)
+		for i := 0; i < tc.queue; i++ {
+			frames <- make([]byte, tc.size)
+		}
+		batch, nbytes := gatherBatch(frames, nil, make([]byte, tc.first))
+		wantBytes := tc.first + (tc.wantRecs-1)*tc.size
+		if len(batch) != tc.wantRecs || nbytes != wantBytes || len(frames) != tc.wantLeft {
+			t.Errorf("%s: %d records, %d bytes, %d left queued; want %d, %d, %d",
+				tc.name, len(batch), nbytes, len(frames), tc.wantRecs, wantBytes, tc.wantLeft)
+		}
 	}
 }
 

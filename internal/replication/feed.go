@@ -345,7 +345,7 @@ func (f *Feed) Available() error {
 	if f.quorumLostLocked() {
 		return ErrQuorumLost
 	}
-	if f.opts.AckWindow > 0 && f.win.n >= f.opts.AckWindow {
+	if f.win.n >= f.opts.ackWindowCap {
 		f.events.Add(metrics.EventReplWindowStalls, 1)
 		return ErrWindowFull
 	}
@@ -379,12 +379,12 @@ func (f *Feed) Armed() bool {
 // the retained window and is deposed — it will resync.
 func (f *Feed) publishLocked(frame []byte) {
 	f.buf = append(f.buf, frame)
-	if len(f.buf) >= 2*f.opts.MaxBuffer {
+	if len(f.buf) >= 2*f.opts.maxBuffer {
 		// Amortized trim: compacting on every append once the window is
-		// full costs an O(MaxBuffer) memmove per record (it was ~40% of
-		// k=1 CPU). Let the slice grow to 2× and cut back to MaxBuffer in
+		// full costs an O(maxBuffer) memmove per record (it was ~40% of
+		// k=1 CPU). Let the slice grow to 2× and cut back to maxBuffer in
 		// one move, so each retained slot is copied at most once.
-		drop := len(f.buf) - f.opts.MaxBuffer
+		drop := len(f.buf) - f.opts.maxBuffer
 		n := copy(f.buf, f.buf[drop:])
 		tail := f.buf[n:]
 		for i := range tail {
@@ -719,7 +719,7 @@ func (f *Feed) Attach(fromLSN, fromEpoch uint64) (*Attachment, error) {
 func (f *Feed) attachLocked(fromLSN uint64) *Attachment {
 	s := &Subscriber{
 		f:       f,
-		q:       make(chan []byte, f.opts.MaxBuffer),
+		q:       make(chan []byte, f.opts.maxBuffer),
 		gone:    make(chan struct{}),
 		acked:   fromLSN,
 		joinLSN: f.lsn,

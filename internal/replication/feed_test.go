@@ -213,13 +213,13 @@ func frameHeaderLen(frame []byte) int {
 // TestFeedSlowSubscriberDeposed: a subscriber that stops draining falls out
 // of the ack quorum instead of wedging writers forever.
 func TestFeedSlowSubscriberDeposed(t *testing.T) {
-	f := NewFeed(0, nil, 1, 0, Options{Seed: 1, MaxBuffer: 4}, newTestEvents())
+	f := NewFeed(0, nil, 1, 0, Options{Seed: 1, maxBuffer: 4}, newTestEvents())
 	defer f.Close()
 	att, err := f.Attach(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue capacity is MaxBuffer; never drain it.
+	// Queue capacity is maxBuffer; never drain it.
 	for i := 0; i < 10; i++ {
 		f.Append("Put", "k", map[string]string{"v": "1"}, nil)
 	}

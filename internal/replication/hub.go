@@ -27,7 +27,6 @@ type Hub struct {
 	ln        net.Listener
 	conns     map[net.Conn]struct{}
 	subs      map[net.Conn]connSub // active subscriptions, for targeted fencing severs
-	wrap      func(net.Conn) net.Conn
 	closed    bool
 
 	wg sync.WaitGroup
@@ -116,14 +115,6 @@ func (h *Hub) Deregister(part int) {
 	h.mu.Unlock()
 }
 
-// SetConnWrapper installs a connection wrapper (fault injection). Applies
-// to connections accepted after the call.
-func (h *Hub) SetConnWrapper(wrap func(net.Conn) net.Conn) {
-	h.mu.Lock()
-	h.wrap = wrap
-	h.mu.Unlock()
-}
-
 // Listen binds the hub and starts accepting subscribers.
 func (h *Hub) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -189,9 +180,6 @@ func (h *Hub) acceptLoop(ln net.Listener) {
 			conn.Close()
 			return
 		}
-		if h.wrap != nil {
-			conn = h.wrap(conn)
-		}
 		h.conns[conn] = struct{}{}
 		h.mu.Unlock()
 		h.wg.Add(1)
@@ -213,7 +201,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	defer h.dropConn(conn)
 
 	br := bufio.NewReaderSize(conn, 1<<16)
-	conn.SetReadDeadline(time.Now().Add(h.opts.DialTimeout)) //pstore:ignore seeddiscipline — I/O deadline arming, not a decision path
+	conn.SetReadDeadline(time.Now().Add(dialTimeout)) //pstore:ignore seeddiscipline — I/O deadline arming, not a decision path
 	var rbuf []byte
 	payload, err := readShipFrame(br, &rbuf)
 	if err != nil {
@@ -320,7 +308,7 @@ func (h *Hub) writeSeeding(conn net.Conn, bw *bufio.Writer, att *Attachment) boo
 // the subscription dies. Every record admitted to the queue while a send
 // was in flight is coalesced into one multi-record batch envelope — one
 // write, one standby fsync, one cumulative ack for the whole batch — capped
-// by MaxBatchRecords/MaxBatchBytes; a lone record ships as a bare frame, so
+// by maxBatchRecords/maxBatchBytes; a lone record ships as a bare frame, so
 // the idle-stream wire format is unchanged. Flushes at queue-drain
 // boundaries so a burst pays one syscall. An idle stream carries
 // heartbeats: the tail arms a read deadline on the live stream, so hub-side
@@ -334,7 +322,7 @@ func (h *Hub) streamLive(conn net.Conn, bw *bufio.Writer, att *Attachment) {
 	defer beat.Stop()
 	// Session-local gather and envelope buffers, reused across batches so
 	// the steady-state ship path allocates nothing per record.
-	batch := make([][]byte, 0, h.opts.MaxBatchRecords)
+	batch := make([][]byte, 0, maxBatchRecords)
 	var env []byte
 	for {
 		var first []byte
@@ -354,7 +342,7 @@ func (h *Hub) streamLive(conn net.Conn, bw *bufio.Writer, att *Attachment) {
 		}
 		for more := true; more; {
 			var nbytes int
-			batch, nbytes = gatherBatch(frames, batch[:0], first, h.opts.MaxBatchRecords, h.opts.MaxBatchBytes)
+			batch, nbytes = gatherBatch(frames, batch[:0], first)
 			wire := batch[0]
 			if len(batch) > 1 {
 				env = appendBatchEnvelope(env[:0], batch, nbytes)
@@ -381,10 +369,10 @@ func (h *Hub) streamLive(conn net.Conn, bw *bufio.Writer, att *Attachment) {
 // gatherBatch drains the subscriber queue without blocking, collecting
 // frames (starting with first, which is always taken) until the record or
 // byte cap. Returns the batch and its summed frame bytes.
-func gatherBatch(frames <-chan []byte, batch [][]byte, first []byte, maxRec, maxBytes int) ([][]byte, int) {
+func gatherBatch(frames <-chan []byte, batch [][]byte, first []byte) ([][]byte, int) {
 	batch = append(batch, first)
 	nbytes := len(first)
-	for len(batch) < maxRec && nbytes < maxBytes {
+	for len(batch) < maxBatchRecords && nbytes < maxBatchBytes {
 		select {
 		case f := <-frames:
 			batch = append(batch, f)

@@ -127,11 +127,7 @@ func readEpochFile(dir string) (uint64, error) {
 }
 
 func writeEpochFile(dir string, epoch uint64) error {
-	tmp := filepath.Join(dir, epochFile+".tmp")
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(epoch, 10)), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, epochFile))
+	return durability.ReplaceFile(filepath.Join(dir, epochFile), []byte(strconv.FormatUint(epoch, 10)))
 }
 
 // Partition returns the replica's partition ID.

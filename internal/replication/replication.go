@@ -81,31 +81,15 @@ type Options struct {
 	// progress on outstanding records before deposing it from the ack
 	// quorum. Default 2s.
 	AckTimeout time.Duration
-	// MaxBuffer bounds the encoded records a feed retains for incremental
-	// catch-up; a live subscriber falling further behind is deposed and must
-	// resync. Default 8192.
-	MaxBuffer int
 	// StaleReadTimeout bounds how long a session read waits for the
 	// replica's applied LSN to reach the session's LSN before the caller
 	// falls back to the primary. Default 2s.
 	StaleReadTimeout time.Duration
-	// DialTimeout bounds each tail connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// RetryBase is the tail's reconnect backoff base (doubled per attempt
-	// with seeded ±50% jitter, capped at 1s). Default 10ms.
-	RetryBase time.Duration
 	// Seed seeds the tails' reconnect jitter so chaos runs are replayable.
 	Seed int64
 	// HealthInterval is the cadence of the cluster's primary health probe
-	// loop. Default 50ms.
+	// loop; the cluster bounds each probe at five intervals. Default 50ms.
 	HealthInterval time.Duration
-	// ProbeTimeout is the deadline on one health probe of a primary
-	// executor. Default 250ms — far above chaos freeze windows, so brief
-	// injected freezes never trip a failover.
-	ProbeTimeout time.Duration
-	// ProbeStrikes is how many consecutive probe timeouts depose a hung
-	// (but not stopped) primary. Default 3.
-	ProbeStrikes int
 	// RequiredSubscribers is the feed's ack-quorum size (the cluster wires
 	// it to the replication factor k). Once a feed has seen this many live
 	// subscribers simultaneously — the quorum is "armed" — dropping below
@@ -115,59 +99,60 @@ type Options struct {
 	// feed degrades to local durability alone, availability over
 	// redundancy. Zero disables self-fencing.
 	RequiredSubscribers int
-	// MaxBatchRecords caps the records coalesced into one multi-record
-	// ship frame: everything admitted to a subscriber's queue during an
-	// in-flight send is shipped as a single batch envelope (one write
-	// syscall, one standby fsync, one cumulative ack), up to this many
-	// records. Default 128.
-	MaxBatchRecords int
-	// MaxBatchBytes caps a batch envelope's payload bytes, so one oversized
-	// record burst cannot stall the ack pipeline behind a megabyte frame.
-	// Default 64 KiB — sized to the ship stream's write buffer, keeping
-	// one batch ≈ one syscall.
-	MaxBatchBytes int
-	// AckWindow bounds the feed's sliding window of unacked transactions
+
+	// maxBuffer and ackWindowCap start at the constants of the same name;
+	// in-package tests shrink them before the options reach a feed.
+	maxBuffer    int
+	ackWindowCap int
+}
+
+// Fixed mechanism parameters: no deployment sets them.
+const (
+	// maxBuffer bounds the encoded records a feed retains for incremental
+	// catch-up; a live subscriber falling further behind is deposed and
+	// must resync.
+	maxBuffer = 8192
+	// ackWindowCap bounds the feed's sliding window of unacked transactions
 	// (appended, not yet both locally durable and replica-acked). When the
 	// window is full, Available reports ErrWindowFull and the router
 	// backpressures writes pre-execution rather than growing an unbounded
-	// in-flight set. Default 4096.
-	AckWindow int
-}
+	// in-flight set.
+	ackWindowCap = 4096
+	// dialTimeout bounds each tail connection attempt and the hub's wait
+	// for a subscribe request.
+	dialTimeout = 2 * time.Second
+	// retryBase is the tail's reconnect backoff base, doubled per attempt
+	// with seeded ±50% jitter and capped at 1s.
+	retryBase = 10 * time.Millisecond
+	// maxBatchRecords caps the records coalesced into one multi-record
+	// ship frame: everything admitted to a subscriber's queue during an
+	// in-flight send is shipped as a single batch envelope (one write
+	// syscall, one standby fsync, one cumulative ack), up to this many
+	// records.
+	maxBatchRecords = 128
+	// maxBatchBytes caps a batch envelope's payload bytes, so one
+	// oversized record burst cannot stall the ack pipeline behind a
+	// megabyte frame. Sized to the ship stream's write buffer, keeping one
+	// batch ≈ one syscall.
+	maxBatchBytes = 64 << 10
+)
 
 // Normalized fills defaults.
 func (o Options) Normalized() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 2 * time.Second
 	}
-	if o.MaxBuffer <= 0 {
-		o.MaxBuffer = 8192
-	}
 	if o.StaleReadTimeout <= 0 {
 		o.StaleReadTimeout = 2 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 10 * time.Millisecond
 	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 50 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 250 * time.Millisecond
+	if o.maxBuffer <= 0 {
+		o.maxBuffer = maxBuffer
 	}
-	if o.ProbeStrikes <= 0 {
-		o.ProbeStrikes = 3
-	}
-	if o.MaxBatchRecords <= 0 {
-		o.MaxBatchRecords = 128
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 64 << 10
-	}
-	if o.AckWindow <= 0 {
-		o.AckWindow = 4096
+	if o.ackWindowCap <= 0 {
+		o.ackWindowCap = ackWindowCap
 	}
 	return o
 }

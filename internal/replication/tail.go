@@ -66,7 +66,7 @@ func (t *Tail) run() {
 		<-timer.C
 	}
 	defer timer.Stop()
-	backoff := t.opts.RetryBase
+	backoff := retryBase
 	for {
 		select {
 		case <-t.stop:
@@ -95,7 +95,7 @@ func (t *Tail) run() {
 // session runs one subscribe-and-apply stream. A nil return means the tail
 // was asked to stop; any error triggers a reconnect.
 func (t *Tail) session() error {
-	d := net.Dialer{Timeout: t.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.Dial("tcp", t.addr)
 	if err != nil {
 		return err
@@ -135,7 +135,7 @@ func (t *Tail) session() error {
 
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var rbuf []byte
-	conn.SetReadDeadline(time.Now().Add(t.opts.DialTimeout + t.opts.StaleReadTimeout)) //pstore:ignore seeddiscipline — I/O deadline arming, not a decision path
+	conn.SetReadDeadline(time.Now().Add(dialTimeout + t.opts.StaleReadTimeout)) //pstore:ignore seeddiscipline — I/O deadline arming, not a decision path
 	payload, err := readShipFrame(br, &rbuf)
 	if err != nil {
 		return err

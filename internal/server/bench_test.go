@@ -138,7 +138,7 @@ func BenchmarkServerCallChaos(b *testing.B) {
 	cl, err := DialOptions(addr, Options{
 		CallTimeout: 50 * time.Millisecond, // a dropped response costs one deadline, then a retry
 		MaxRetries:  10,
-		RetryBase:   time.Millisecond,
+		retryBase:   time.Millisecond,
 		Reconnect:   true,
 	})
 	if err != nil {

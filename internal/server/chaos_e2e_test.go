@@ -122,7 +122,7 @@ func TestChaosScaleOutEndToEnd(t *testing.T) {
 			cl, err := DialOptions(addr, Options{
 				CallTimeout: callDeadline,
 				MaxRetries:  5,
-				RetryBase:   2 * time.Millisecond,
+				retryBase:   2 * time.Millisecond,
 				Reconnect:   true,
 			})
 			if err != nil {

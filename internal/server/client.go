@@ -61,8 +61,6 @@ func IsRetryable(err error) bool {
 // Dial) keeps the legacy semantics: a 30s safety-net deadline, no automatic
 // retries, no reconnect.
 type Options struct {
-	// DialTimeout bounds each connection attempt. Default 5s.
-	DialTimeout time.Duration
 	// CallTimeout is the per-attempt deadline applied to Ping/Call/Stats
 	// when the caller's context has none, so a request can never hang
 	// against a black-holed server: each attempt (initial + each retry) is
@@ -72,38 +70,41 @@ type Options struct {
 	// Default 30s; negative disables.
 	CallTimeout time.Duration
 	// MaxRetries is how many times a failed request is automatically
-	// retried with jittered exponential backoff. Only failures that are
-	// retryable AND safe (definitely-not-executed, or an idempotent
-	// operation) are retried; a non-idempotent Call whose request may have
-	// executed is returned to the caller instead. Default 0 (no retries).
+	// retried with jittered exponential backoff: the first retry waits
+	// retryBase, each further one doubles it, with ±50% jitter, capped at
+	// retryMax; a server RetryAfter hint overrides smaller computed
+	// backoffs. Only failures that are retryable AND safe
+	// (definitely-not-executed, or an idempotent operation) are retried; a
+	// non-idempotent Call whose request may have executed is returned to
+	// the caller instead. Default 0 (no retries).
 	MaxRetries int
-	// RetryBase is the first retry's backoff; each further attempt doubles
-	// it, with ±50% jitter, capped at RetryMax. A server RetryAfter hint
-	// overrides smaller computed backoffs. Defaults 10ms / 1s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Reconnect enables automatic redial after a connection failure:
 	// in-flight requests still fail (their fate is unknowable), but the
 	// client heals instead of staying dead, and fast-failed new requests
-	// become retryable. Attempts back off up to 1s and stop at Close.
+	// become retryable. Attempts back off up to retryMax and stop at Close.
 	Reconnect bool
+
+	// retryBase starts at the constant of the same name; in-package tests
+	// shorten it.
+	retryBase time.Duration
 }
 
+// Fixed client timings: no deployment sets them.
+const (
+	dialTimeout = 5 * time.Second // bounds each connection attempt
+	retryBase   = 10 * time.Millisecond
+	retryMax    = time.Second
+)
+
 func (o Options) normalized() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = 30 * time.Second
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 10 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = time.Second
+	if o.retryBase <= 0 {
+		o.retryBase = retryBase
 	}
 	return o
 }
@@ -161,7 +162,7 @@ func Dial(addr string) (*Client, error) {
 // options.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	opts = opts.normalized()
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -248,13 +249,13 @@ func (c *Client) connFailed(gen uint64, err error) {
 // that already failed) and a fresh read loop starts.
 func (c *Client) reconnectLoop() {
 	for attempt := 0; ; attempt++ {
-		delay := backoffDelay(c.opts.RetryBase, attempt, time.Second)
+		delay := backoffDelay(c.opts.retryBase, attempt, retryMax)
 		select {
 		case <-c.done:
 			return
 		case <-time.After(delay):
 		}
-		conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			continue
 		}
@@ -473,7 +474,7 @@ func (c *Client) do(ctx context.Context, op string, req *Request, idempotent boo
 		if !safe || attempt >= c.opts.MaxRetries {
 			return Response{}, cerr
 		}
-		delay := backoffDelay(c.opts.RetryBase, attempt, c.opts.RetryMax)
+		delay := backoffDelay(c.opts.retryBase, attempt, retryMax)
 		if cerr.RetryAfter > delay {
 			delay = cerr.RetryAfter
 		}

@@ -161,7 +161,7 @@ func TestBusyTypedError(t *testing.T) {
 // should push through without caller involvement, honoring backoff.
 func TestBusyAutoRetrySucceeds(t *testing.T) {
 	addr, calls := busyServer(t, 2, time.Millisecond)
-	cl, err := DialOptions(addr, Options{MaxRetries: 4, RetryBase: time.Millisecond})
+	cl, err := DialOptions(addr, Options{MaxRetries: 4, retryBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReconnectHeals(t *testing.T) {
 	}
 	t.Cleanup(func() { srv2.Close() })
 
-	cl, err := DialOptions(addr, Options{Reconnect: true, MaxRetries: 8, RetryBase: 5 * time.Millisecond})
+	cl, err := DialOptions(addr, Options{Reconnect: true, MaxRetries: 8, retryBase: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestReplicationKillPrimaryEndToEnd(t *testing.T) {
 	copts := Options{
 		CallTimeout: 2 * time.Second,
 		MaxRetries:  20,
-		RetryBase:   2 * time.Millisecond,
+		retryBase:   2 * time.Millisecond,
 		Reconnect:   true,
 	}
 	clients := make([]*Client, workers)

@@ -70,17 +70,30 @@ go test ./internal/server/ ./internal/hashing/ ./internal/durability/ ./internal
   -benchmem -benchtime "$BENCHTIME" -count 1 | tee "$TMP"
 bench_to_json < "$TMP" > BENCH_hotpath.json
 
+# gate LABEL OLD NEW fails when NEW ns/op is more than 25% above the
+# recorded OLD, and when a baseline was recorded but no new number was
+# parsed: a missing measurement is a failure, not a pass.
+gate() {
+  local label="$1" old="$2" new="$3"
+  [ -n "$old" ] || return 0
+  if [ -z "$new" ]; then
+    echo "bench gate: $label: no new measurement parsed (recorded $old ns/op)" >&2
+    return 1
+  fi
+  awk -v old="$old" -v new="$new" -v label="$label" 'BEGIN {
+    if (old + 0 > 0 && new + 0 > old * 1.25) {
+      printf "bench gate: %s regressed: %s ns/op vs recorded %s ns/op (limit +25%%)\n", label, new, old
+      exit 1
+    }
+    printf "bench gate: %s %s ns/op vs recorded %s ns/op (limit +25%%): ok\n", label, new, old
+  }'
+}
+
 if [ -n "$OLD_CALL_NS" ]; then
   go test ./internal/server/ -run 'xxx' -bench 'BenchmarkServerCall$' \
     -benchtime 5000x -count 1 | tee "$TMP"
   NEW_CALL_NS="$(awk '$1 ~ /^BenchmarkServerCall(-[0-9]+)?$/ { print $3; exit }' "$TMP")"
-  awk -v old="$OLD_CALL_NS" -v new="$NEW_CALL_NS" 'BEGIN {
-    if (old + 0 > 0 && new + 0 > old * 1.25) {
-      printf "bench gate: BenchmarkServerCall regressed: %s ns/op vs recorded %s ns/op (limit +25%%)\n", new, old
-      exit 1
-    }
-    printf "bench gate: BenchmarkServerCall %s ns/op vs recorded %s ns/op (limit +25%%): ok\n", new, old
-  }'
+  gate "BenchmarkServerCall" "$OLD_CALL_NS" "$NEW_CALL_NS"
 fi
 
 go test ./internal/server/ \
@@ -113,19 +126,8 @@ if [ -n "$OLD_K1_NS" ] || [ -n "$OLD_K1D_NS" ]; then
     -benchtime 5000x -count 1 | tee "$TMP"
   NEW_K1_NS="$(awk '$1 ~ /^BenchmarkReplicatedCall\/k=1(-[0-9]+)?$/ { print $3; exit }' "$TMP")"
   NEW_K1D_NS="$(awk '$1 ~ /^BenchmarkReplicatedCall\/k=1\/durable(-[0-9]+)?$/ { print $3; exit }' "$TMP")"
-  gate_repl() {
-    local label="$1" old="$2" new="$3"
-    [ -n "$old" ] && [ -n "$new" ] || return 0
-    awk -v old="$old" -v new="$new" -v label="$label" 'BEGIN {
-      if (old + 0 > 0 && new + 0 > old * 1.25) {
-        printf "bench gate: %s regressed: %s ns/op vs recorded %s ns/op (limit +25%%)\n", label, new, old
-        exit 1
-      }
-      printf "bench gate: %s %s ns/op vs recorded %s ns/op (limit +25%%): ok\n", label, new, old
-    }'
-  }
-  gate_repl "BenchmarkReplicatedCall/k=1" "$OLD_K1_NS" "$NEW_K1_NS"
-  gate_repl "BenchmarkReplicatedCall/k=1/durable" "$OLD_K1D_NS" "$NEW_K1D_NS"
+  gate "BenchmarkReplicatedCall/k=1" "$OLD_K1_NS" "$NEW_K1_NS"
+  gate "BenchmarkReplicatedCall/k=1/durable" "$OLD_K1D_NS" "$NEW_K1D_NS"
 fi
 
 # Live-migration stall: p99 foreground latency while a hot bucket moves
