@@ -510,3 +510,25 @@ func TestReplaceFile(t *testing.T) {
 		t.Fatalf("failed replace changed the file: %q, %v", got, err)
 	}
 }
+
+// TestLogSteadyStateAllocatesNothing pins the append path's allocation
+// budget: once the segment is open, logging a pre-encoded payload — what a
+// replication feed and a standby do per write — allocates nothing, frame
+// header included.
+func TestLogSteadyStateAllocatesNothing(t *testing.T) {
+	m := openTestManager(t, t.TempDir(), Options{})
+	defer m.Close()
+	rec := Record{Kind: KindTxn, Proc: "Put", Key: "k", Args: map[string]string{"v": "x"}}
+	var buf []byte
+	logOne := func() {
+		rec.LSN = m.Seq() + 1
+		buf = AppendRecord(buf[:0], &rec)
+		if err := m.Log(buf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logOne() // warm the encode buffer
+	if allocs := testing.AllocsPerRun(1000, logOne); allocs != 0 {
+		t.Errorf("Manager.Log allocates %.1f objects per record, want 0", allocs)
+	}
+}

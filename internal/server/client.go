@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"runtime"
@@ -606,14 +607,20 @@ func (c *Client) noteWrite(resp Response) {
 // Session returns a copy of the client's session vector — the highest LSN
 // it has written per partition.
 func (c *Client) Session() map[int]uint64 {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	out := make(map[int]uint64, len(c.session))
-	for p, lsn := range c.session {
-		out[p] = lsn
-	}
-	return out
+	return c.copySession(make(map[int]uint64))
 }
+
+// copySession copies the session vector into dst and returns it.
+func (c *Client) copySession(dst map[int]uint64) map[int]uint64 {
+	c.sessMu.Lock()
+	maps.Copy(dst, c.session)
+	c.sessMu.Unlock()
+	return dst
+}
+
+// sessionMaps recycles the session-vector snapshots reads carry: the
+// request is encoded before do returns, so the snapshot is free again then.
+var sessionMaps = sync.Pool{New: func() any { return make(map[int]uint64) }}
 
 // Read executes a read-only stored procedure with session consistency: the
 // server may serve it from a replica, but only one that has applied every
@@ -625,8 +632,11 @@ func (c *Client) Read(proc, key string, args map[string]string) (*CallResult, er
 
 // ReadCtx is Read honoring the context's deadline.
 func (c *Client) ReadCtx(ctx context.Context, proc, key string, args map[string]string) (*CallResult, error) {
-	req := Request{Kind: KindRead, Proc: proc, Key: key, Args: args, Session: c.Session()}
+	sess := c.copySession(sessionMaps.Get().(map[int]uint64))
+	req := Request{Kind: KindRead, Proc: proc, Key: key, Args: args, Session: sess}
 	resp, err := c.do(ctx, "read", &req, true)
+	clear(sess)
+	sessionMaps.Put(sess)
 	if err != nil {
 		return nil, err
 	}

@@ -280,3 +280,42 @@ func TestServerPingAllocatesNothing(t *testing.T) {
 		t.Errorf("Ping allocates %v times per round trip, want 0", avg)
 	}
 }
+
+// TestReadSessionVectorAllocatesNothing holds a read's session vector to
+// zero allocations: a read carrying a four-partition vector allocates no
+// more than one carrying none, and neither copies the vector into a fresh
+// map.
+func TestReadSessionVectorAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	_, addr, _ := startTestServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Call("AddLineToCart", "cart-a", map[string]string{"sku": "s", "qty": "1", "price": "1"}); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if _, err := cl.Read("GetCart", "cart-a", nil); err != nil {
+			t.Error(err)
+		}
+	}
+	perRead := func() float64 {
+		for i := 0; i < 100; i++ {
+			read() // fill the pools and grow the batch buffers
+		}
+		return testing.AllocsPerRun(2000, read)
+	}
+	empty := perRead()
+	// The in-memory test cluster logs nothing, so its writes carry no LSN;
+	// give the client the vector a durable cluster's writes would leave.
+	cl.sessMu.Lock()
+	cl.session = map[int]uint64{0: 7, 1: 3, 2: 12, 3: 5}
+	cl.sessMu.Unlock()
+	if four := perRead(); four != empty {
+		t.Errorf("a read with a four-partition session vector allocates %v times, %v without one; want equal", four, empty)
+	}
+}
