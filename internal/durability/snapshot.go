@@ -25,8 +25,8 @@ import (
 // snapshot/segment pairing visible in a directory listing.
 
 // writeSnapshot persists the partition's full contents. The caller must
-// hold exclusive access to the partition (the executor's goroutine, or
-// recovery before executors start).
+// hold exclusive access to the partition (a partition function run by the
+// executor's Do, or recovery before executors start).
 func writeSnapshot(dir string, part *storage.Partition, seg int, seq uint64) error {
 	tmp := filepath.Join(dir, snapshotName(seg)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

@@ -276,9 +276,11 @@ func (in *Injector) FreezeLoop(execs func() []*engine.Executor, stop <-chan stru
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// The sleep runs on the executor goroutine via the priority
-				// lane, so the whole partition stalls — exactly a frozen
-				// node. Do fails harmlessly if the executor already stopped.
+				// The sleep runs as a partition function — on the executor
+				// via the priority lane, or inline holding the partition
+				// token when the partition is idle — so the whole partition
+				// stalls, exactly a frozen node. Do fails harmlessly if the
+				// executor already stopped.
 				e.Do(func(*storage.Partition) (int, error) {
 					//pstore:ignore seeddiscipline — the stall IS the injected fault (frozen node); duration is configured, not drawn
 					time.Sleep(in.opts.FreezeFor)

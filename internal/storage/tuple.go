@@ -28,8 +28,9 @@ import (
 // Schema is a per-table field-name intern table. Field IDs are dense,
 // assigned in first-use order, and never reused or reordered.
 //
-// Ownership follows the partition: only the executor goroutine that owns
-// the table interns new names (ids is unsynchronized). Readers on other
+// Ownership follows the partition: only the goroutine holding the
+// partition — its executor, or a partition function running inline on a
+// caller — interns new names (ids is unsynchronized). Readers on other
 // goroutines — checksum scans, replication encoders holding a borrowed
 // view — resolve IDs back to names through an atomically published names
 // slice, which is copied on every intern and never mutated in place.
