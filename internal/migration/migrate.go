@@ -333,7 +333,6 @@ func Start(c *cluster.Cluster, targetNodes int, opts Options) (*Migration, error
 // run executes the stored plan and publishes the report. The caller must
 // hold the cluster's reconfiguration lock; run releases it.
 func (m *Migration) run(c *cluster.Cluster) {
-	defer c.EndReconfiguration()
 	start := time.Now() //pstore:ignore seeddiscipline — report observability only; Duration never feeds a migration decision
 	err := m.execute(c, m.rounds, m.moves, m.opts)
 	if err == nil {
@@ -364,6 +363,9 @@ func (m *Migration) run(c *cluster.Cluster) {
 	}
 	m.report = rep
 	m.err = err
+	// Release before publishing: whoever Wait wakes may start or resume
+	// the next reconfiguration at once.
+	c.EndReconfiguration()
 	close(m.done)
 }
 
