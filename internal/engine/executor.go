@@ -77,8 +77,8 @@ type Executor struct {
 	cfg   Config
 	part  *storage.Partition
 	reg   *Registry
-	queue chan task
-	prio  chan task
+	queue chan *task
+	prio  chan *task
 	done  chan struct{}
 	quit  chan struct{} // closed by Stop; wakes a pacing executor immediately
 
@@ -152,6 +152,10 @@ func (w Waiter) Wait() Result {
 // back, so a recycled channel is always empty.
 var fnReplies = sync.Pool{New: func() any { return make(chan error, 1) }}
 
+// task is one unit of queued work. Both lanes carry *task, so a queue slot
+// costs a pointer however deep the queue is; tasks come from a pool, and
+// whoever finishes one (the run loop, a drain, or an enqueue that failed)
+// releases it.
 type task struct {
 	txn  *Txn
 	comp Completion
@@ -163,6 +167,18 @@ type task struct {
 	held chan struct{}
 }
 
+var tasks = sync.Pool{New: func() any { return new(task) }}
+
+// newTask returns an empty pooled task.
+func newTask() *task { return tasks.Get().(*task) }
+
+// Release clears the task and returns it to its pool. Nothing may touch it
+// afterwards.
+func (t *task) Release() {
+	*t = task{}
+	tasks.Put(t)
+}
+
 // NewExecutor starts an executor for the partition. Stop must be called to
 // release its goroutine.
 func NewExecutor(part *storage.Partition, reg *Registry, cfg Config) *Executor {
@@ -170,8 +186,8 @@ func NewExecutor(part *storage.Partition, reg *Registry, cfg Config) *Executor {
 		cfg:   cfg,
 		part:  part,
 		reg:   reg,
-		queue: make(chan task, cfg.QueueCapacity()),
-		prio:  make(chan task, 256),
+		queue: make(chan *task, cfg.QueueCapacity()),
+		prio:  make(chan *task, 256),
 		done:  make(chan struct{}),
 		quit:  make(chan struct{}),
 	}
@@ -237,7 +253,8 @@ func (e *Executor) Healthy(timeout time.Duration) bool {
 	// The reply channel is not pooled: a probe that times out abandons it
 	// to a late send.
 	reply := make(chan error, 1)
-	t := task{fn: func(p *storage.Partition) (int, error) { return 0, nil }, fnReply: reply}
+	t := newTask()
+	t.fn, t.fnReply = func(p *storage.Partition) (int, error) { return 0, nil }, reply
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	e.unfinished.Add(1)
@@ -245,9 +262,11 @@ func (e *Executor) Healthy(timeout time.Duration) bool {
 	case e.prio <- t:
 	case <-e.done:
 		e.unfinished.Add(-1)
+		t.Release()
 		return false
 	case <-timer.C:
 		e.unfinished.Add(-1)
+		t.Release()
 		return false
 	}
 	select {
@@ -272,6 +291,7 @@ func (e *Executor) drainPrio() {
 			if t.park != nil {
 				close(t.park) // Reserve caller sees a closed channel
 			}
+			t.Release()
 		default:
 			return
 		}
@@ -288,7 +308,7 @@ func (e *Executor) run() {
 	defer e.drainPrio()
 	defer close(e.done)
 	for {
-		var t task
+		var t *task
 		var ok, idle bool
 		select {
 		case t = <-e.prio:
@@ -335,7 +355,7 @@ func (e *Executor) run() {
 				// pipelining is what makes group commit cheap. The task
 				// stays counted until its record is appended, so an inline
 				// snapshot never sees its effect without its LSN.
-				e.ackDurable(t, res)
+				e.ackDurable(t.txn, t.comp, res)
 			} else {
 				t.comp.Complete(res)
 			}
@@ -358,6 +378,7 @@ func (e *Executor) run() {
 			<-t.held             //pstore:ignore execblock — released by the coordinator's release func; parking until then is the reservation contract
 			e.unfinished.Add(-1)
 		}
+		t.Release()
 	}
 }
 
@@ -377,14 +398,14 @@ func isNotOwned(err error) bool { return storage.IsNotOwned(err) }
 // ackDurable defers a transaction's completion until its log record is on
 // stable storage. The callback runs on the log's group-commit goroutine (or
 // a replication feed's completion path).
-func (e *Executor) ackDurable(t task, res Result) {
+func (e *Executor) ackDurable(txn *Txn, comp Completion, res Result) {
 	a, _ := durableAcks.Get().(*durableAck)
 	if a == nil {
 		a = &durableAck{}
 		a.onDurable = a.complete
 	}
-	a.comp, a.res = t.comp, res
-	e.cfg.Log.Append(t.txn.Proc, t.txn.Key, t.txn.Args, a.onDurable)
+	a.comp, a.res = comp, res
+	e.cfg.Log.Append(txn.Proc, txn.Key, txn.Args, a.onDurable)
 }
 
 // durableAck carries a logged write's completion and result until the log
@@ -499,7 +520,9 @@ func (e *Executor) Call(txn *Txn) Result {
 // complete synchronously on the caller's goroutine. Every transaction
 // enqueued is completed: the run loop drains the queue on Stop.
 func (e *Executor) CallAsync(txn *Txn, comp Completion) {
-	if err := e.enqueue(task{txn: txn, comp: comp}); err != nil {
+	t := newTask()
+	t.txn, t.comp = txn, comp
+	if err := e.enqueue(t); err != nil {
 		comp.Complete(Result{Err: err})
 	}
 }
@@ -516,7 +539,9 @@ func (e *Executor) Do(fn func(p *storage.Partition) (rows int, err error)) error
 		return err
 	}
 	reply := fnReplies.Get().(chan error)
-	return awaitFn(reply, e.enqueuePrio(task{fn: fn, fnReply: reply}))
+	t := newTask()
+	t.fn, t.fnReply = fn, reply
+	return awaitFn(reply, e.enqueuePrio(t))
 }
 
 // DoBackground runs fn like Do, but through the regular transaction queue
@@ -532,7 +557,9 @@ func (e *Executor) DoBackground(fn func(p *storage.Partition) (rows int, err err
 		return err
 	}
 	reply := fnReplies.Get().(chan error)
-	return awaitFn(reply, e.enqueueBlocking(task{fn: fn, fnReply: reply}))
+	t := newTask()
+	t.fn, t.fnReply = fn, reply
+	return awaitFn(reply, e.enqueueBlocking(t))
 }
 
 // runInline runs fn on the caller's goroutine if the partition is idle:
@@ -576,7 +603,9 @@ func awaitFn(reply chan error, enqueueErr error) error {
 func (e *Executor) Reserve() (release func(), err error) {
 	park := make(chan struct{}, 1)
 	held := make(chan struct{})
-	if err := e.enqueuePrio(task{park: park, held: held}); err != nil {
+	t := newTask()
+	t.park, t.held = park, held
+	if err := e.enqueuePrio(t); err != nil {
 		return nil, err
 	}
 	if _, ok := <-park; !ok {
@@ -590,10 +619,15 @@ func (e *Executor) Reserve() (release func(), err error) {
 // use races with the executor goroutine.
 func (e *Executor) PartitionUnsafe() *storage.Partition { return e.part }
 
-func (e *Executor) enqueue(t task) error {
+// enqueue adds a task to the regular queue, shedding it once the queue
+// holds QueueCapacity tasks. Each enqueue function takes ownership of t: a
+// task that reaches a lane is released by whoever finishes it, one that
+// does not is released here.
+func (e *Executor) enqueue(t *task) error {
 	e.stopMu.RLock()
 	defer e.stopMu.RUnlock()
 	if e.stopped.Load() {
+		t.Release()
 		return ErrStopped
 	}
 	e.unfinished.Add(1)
@@ -603,6 +637,7 @@ func (e *Executor) enqueue(t task) error {
 	default:
 		e.unfinished.Add(-1)
 		e.shed.Add(1)
+		t.Release()
 		return ErrOverloaded
 	}
 }
@@ -611,10 +646,11 @@ func (e *Executor) enqueue(t task) error {
 // instead of shedding. Holding stopMu's read side across the send is safe:
 // the run loop keeps draining the queue until Stop closes it, and Stop can
 // only close it after this send completes and releases the lock.
-func (e *Executor) enqueueBlocking(t task) error {
+func (e *Executor) enqueueBlocking(t *task) error {
 	e.stopMu.RLock()
 	defer e.stopMu.RUnlock()
 	if e.stopped.Load() {
+		t.Release()
 		return ErrStopped
 	}
 	e.unfinished.Add(1)
@@ -624,9 +660,10 @@ func (e *Executor) enqueueBlocking(t task) error {
 
 // enqueuePrio adds a task to the priority lane, blocking if the lane is
 // momentarily full but failing once the executor stops.
-func (e *Executor) enqueuePrio(t task) error {
+func (e *Executor) enqueuePrio(t *task) error {
 	select {
 	case <-e.done:
+		t.Release()
 		return ErrStopped
 	default:
 	}
@@ -636,6 +673,7 @@ func (e *Executor) enqueuePrio(t task) error {
 		return nil
 	case <-e.done:
 		e.unfinished.Add(-1)
+		t.Release()
 		return ErrStopped
 	}
 }

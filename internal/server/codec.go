@@ -505,7 +505,10 @@ func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 // keys, and small argument values millions of times; interning makes their
 // decode allocation-free in the steady state. Long or novel strings beyond
 // the cache bound fall back to a plain copy, so the cache cannot grow
-// without limit.
+// without limit. A miss against a full cache is decided under the read
+// lock: once the table holds internMaxEntries strings (a key space larger
+// than the cache, such as per-cart keys), misses never queue for the write
+// lock.
 func intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -515,9 +518,13 @@ func intern(b []byte) string {
 	}
 	internMu.RLock()
 	s, ok := internTab[string(b)] // no alloc: map lookup by []byte→string
+	full := len(internTab) >= internMaxEntries
 	internMu.RUnlock()
 	if ok {
 		return s
+	}
+	if full {
+		return string(b)
 	}
 	internMu.Lock()
 	if s, ok = internTab[string(b)]; !ok {

@@ -1,24 +1,42 @@
 // Per-bucket slab arenas. Every tuple in a bucket lives inside one of the
-// bucket's arena pages — large flat []byte slabs — so a ten-million-row
-// table costs the garbage collector a few thousand page objects to trace,
-// not tens of millions of boxed map entries. Pages are append-only: a tuple,
-// once placed, is never mutated or moved, which is what makes zero-copy
-// TupleViews and by-reference bucket handoff safe. Overwrites and deletes
-// tombstone the old bytes (dead-byte accounting); when a bucket's dead bytes
-// outweigh its live bytes the bucket compacts by rewriting live tuples into
-// fresh pages and dropping the old ones — borrowed views keep old pages
-// alive (GC-safe) but the table stops retaining them.
+// bucket's arena pages — flat []byte slabs that grow with the bucket — so
+// a ten-million-row table costs the garbage collector a few thousand page
+// objects to trace, not tens of millions of boxed map entries. Pages are
+// append-only: a tuple, once placed, is never mutated or moved, which is
+// what makes zero-copy TupleViews and by-reference bucket handoff safe.
+// Overwrites and deletes tombstone the old bytes (dead-byte accounting);
+// when a bucket's dead bytes outweigh its live bytes the bucket compacts by
+// rewriting live tuples into fresh pages and dropping the old ones —
+// borrowed views keep old pages alive (GC-safe) but the table stops
+// retaining them.
 package storage
 
-// arenaPageSize is the default slab size. Tuples larger than a quarter page
-// get a dedicated exact-size page so one jumbo document cannot strand most
-// of a slab.
+// arenaPageSize is the largest slab size. Tuples larger than a quarter of
+// it get a dedicated exact-size page so one jumbo document cannot strand
+// most of a slab.
 const arenaPageSize = 64 << 10
+
+// arenaMinPage is a bucket's first page size. Each later page doubles, up to
+// arenaPageSize, so a bucket holding a handful of rows retains a few hundred
+// bytes rather than a full slab, and a big one still reaches full-size pages
+// after seven doublings.
+const arenaMinPage = 512
 
 // arena is a bump allocator over append-only pages.
 type arena struct {
 	pages    [][]byte // pages[len-1] is the active page
 	retained int      // Σ cap(page): bytes held from the allocator
+	next     int      // size of the next regular page; 0 means arenaMinPage
+}
+
+// pageFor returns the smallest page of the doubling series from arenaMinPage
+// that holds n bytes, capped at arenaPageSize.
+func pageFor(n int) int {
+	size := arenaMinPage
+	for size < n && size < arenaPageSize {
+		size *= 2
+	}
+	return size
 }
 
 // place copies t into the arena and returns the stable internal alias.
@@ -37,8 +55,10 @@ func (a *arena) place(t []byte) []byte {
 	}
 	n := len(a.pages)
 	if n == 0 || cap(a.pages[n-1])-len(a.pages[n-1]) < len(t) {
-		a.pages = append(a.pages, make([]byte, 0, arenaPageSize))
-		a.retained += arenaPageSize
+		size := pageFor(max(a.next, len(t)))
+		a.pages = append(a.pages, make([]byte, 0, size))
+		a.retained += size
+		a.next = min(2*size, arenaPageSize)
 		n = len(a.pages)
 	}
 	p := a.pages[n-1]
@@ -114,7 +134,9 @@ func (b *bucketRows) maybeCompact() {
 	if b.dead <= b.live || b.dead < compactMinDead {
 		return
 	}
-	next := arena{}
+	// The fresh arena starts at a page sized for the live bytes instead of
+	// regrowing from arenaMinPage.
+	next := arena{next: pageFor(b.live)}
 	idx := make(map[string][]byte, len(b.index))
 	for _, t := range b.index {
 		stable := next.place(t)

@@ -44,10 +44,10 @@ func largeTable(b *testing.B, n int) *Partition {
 // lookup + arena append); the reported metrics capture what the boxed-row
 // layout could not bound — max-gc-pause-ns is the longest stop-the-world
 // pause over a forced collection of the full table (acceptance: <10ms and
-// roughly flat from 1M to 10M rows, since tuples live in ~64KB pages the
-// collector scans as single objects, not per-row map/string graphs), and
-// heap-objects counts reachable allocations after collection (~index
-// buckets + pages, not rows).
+// roughly flat from 1M to 10M rows, since tuples live in pages of up to
+// 64KB the collector scans as single objects, not per-row map/string
+// graphs), and heap-objects counts reachable allocations after collection
+// (~index buckets + pages, not rows).
 func BenchmarkLargeTable(b *testing.B) {
 	for _, n := range []int{1_000_000, 10_000_000} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {

@@ -362,9 +362,9 @@ func TestSizeBytes(t *testing.T) {
 	if err := p.Put("CART", "k", map[string]string{"a": "xy"}); err != nil {
 		t.Fatal(err)
 	}
-	// Accounting is exact retained memory: the first row opens one arena
-	// page and adds one index entry.
-	want := arenaPageSize + indexEntryOverhead
+	// Accounting is exact retained memory: the first row opens the bucket's
+	// first (smallest) arena page and adds one index entry.
+	want := arenaMinPage + indexEntryOverhead
 	if got := p.SizeBytes(); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
