@@ -177,6 +177,33 @@ func TestExecutorDoMigrationWork(t *testing.T) {
 	}
 }
 
+// TestMigrationSliceRows pins the background visit budget: one slice costs
+// about max(ServiceTime, minVisit), clamped to [1, maxSliceRows].
+func TestMigrationSliceRows(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		service, rowCost time.Duration
+		want             int
+	}{
+		// experiments.QuickScale: one 1.2ms transaction of 150µs rows.
+		{"quickscale", 1200 * time.Microsecond, 150 * time.Microsecond, 8},
+		// pstore-server defaults: -service-time 200µs, rows at a twentieth;
+		// the 1ms floor, not the service time, sizes the visit.
+		{"server-defaults", 200 * time.Microsecond, 10 * time.Microsecond, 100},
+		{"free-rows", time.Millisecond, 0, maxSliceRows},
+		// BenchmarkMigrationStall: the floor allows 1000 rows; the cap holds.
+		{"capped", 2 * time.Microsecond, time.Microsecond, maxSliceRows},
+		{"row-dearer-than-visit", time.Millisecond, 5 * time.Millisecond, 1},
+	} {
+		e := newTestExecutor(Config{ServiceTime: tc.service, MigrationRowCost: tc.rowCost})
+		got := e.MigrationSliceRows()
+		e.Stop()
+		if got != tc.want {
+			t.Errorf("%s: MigrationSliceRows = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // collect is a Completion that forwards every result to a buffered channel.
 type collect chan Result
 

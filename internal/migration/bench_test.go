@@ -19,8 +19,11 @@ import (
 // partitions on the same node. The p99 of those samples is the per-move
 // stall: O(residual delta) plus one copy slice of queueing.
 // MigrationRowCost makes row transfer time physical: the hot bucket costs
-// 30ms to stream (hotRows × MigrationRowCost), in visits of at most
-// sliceRows rows.
+// 30ms to stream (hotRows × MigrationRowCost) at the source and again at
+// the destination, pipelined against each other. Each visit carries the
+// engine's slice budget, max(ServiceTime, 1ms)/MigrationRowCost clamped to
+// 256: here the cap, 256 rows (256µs), because the 2µs transactions are
+// shorter than the 1ms floor.
 //
 // Reported metrics:
 //

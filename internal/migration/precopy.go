@@ -1,10 +1,12 @@
 package migration
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"pstore/internal/cluster"
+	"pstore/internal/engine"
 	"pstore/internal/metrics"
 	"pstore/internal/storage"
 )
@@ -12,10 +14,6 @@ import (
 // The move's fixed costs. No caller tunes them; they are named so the
 // protocol below reads in their terms.
 const (
-	// sliceRows bounds how many rows one pre-copy executor visit streams,
-	// so bulk copying never occupies the source or destination executor for
-	// more than ~sliceRows·MigrationRowCost at a time.
-	sliceRows = 256
 	// flipResidual is the residual delta (captured writes not yet replayed
 	// at the destination) at or below which draining stops and the flip
 	// runs. The flip pause is O(flipResidual + writes arriving during it).
@@ -35,12 +33,15 @@ const (
 //
 //	Phase 1 — pre-copy. The source marks the bucket migrating and starts
 //	capturing its writes into an ordered delta log (storage.BeginCapture),
-//	then streams the bucket's snapshot to the destination in slices of at
-//	most sliceRows rows, staged there as BucketPages encoded against the
-//	destination's own schemas. Slices travel through the executors'
-//	background lane (engine.DoBackground), behind queued transactions, so
-//	foreground latency sees at most one slice of interference. The bucket
-//	keeps serving reads and writes at the source throughout.
+//	then streams the bucket's snapshot to the destination in slices,
+//	staged there as BucketPages encoded against the destination's own
+//	schemas. A slice carries the smaller of the two executors'
+//	MigrationSliceRows — rows that cost about one transaction to move —
+//	and travels through the background lane (engine.DoBackground), behind
+//	queued transactions, so a foreground transaction waits at most about
+//	one transaction's worth of copying. The source copies slice i+1 while
+//	the destination stages slice i. The bucket keeps serving reads and
+//	writes at the source throughout.
 //
 //	Phase 2 — delta drain. Captured writes are drained in rounds and
 //	replayed onto the destination's staged pages in capture order. Each
@@ -83,6 +84,7 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 
 	// Phase 1: begin capture and collect the copy manifest. One short
 	// executor visit — O(bucket keys) to list, no row copying.
+	sliceRows := min(srcExec.MigrationSliceRows(), dstExec.MigrationSliceRows())
 	var slices []storage.CopySlice
 	err := srcExec.Do(func(p *storage.Partition) (int, error) {
 		var err error
@@ -110,36 +112,10 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 		c.Events().Add(metrics.EventMoveRollbacks, 1)
 	}
 
-	// Stream the snapshot slices through the background lane: each visit
-	// is bounded by sliceRows, and queued foreground transactions run
-	// ahead of every slice.
-	copied := 0
-	for _, s := range slices {
-		if m.canceled() {
-			abortMove()
-			return fmt.Errorf("migration: bucket %d pre-copy canceled: run failed elsewhere", mv.bucket)
-		}
-		var batch *storage.TupleBatch
-		err := srcExec.DoBackground(func(p *storage.Partition) (int, error) {
-			var err error
-			batch, err = p.CopyRows(mv.bucket, s)
-			if batch == nil {
-				return 0, err
-			}
-			return batch.Len(), err
-		})
-		if err == nil {
-			// The batch aliases the source bucket's append-only arena pages —
-			// handing it across executors copies slice headers, not rows.
-			err = dstExec.DoBackground(func(p *storage.Partition) (int, error) {
-				return batch.Len(), p.StageRows(mv.bucket, batch)
-			})
-		}
-		if err != nil {
-			abortMove()
-			return fmt.Errorf("migration: pre-copying bucket %d (%d→%d): %w", mv.bucket, mv.fromPart, mv.toPart, err)
-		}
-		copied += batch.Len()
+	copied, err := m.preCopy(srcExec, dstExec, mv.bucket, slices)
+	if err != nil {
+		abortMove()
+		return fmt.Errorf("migration: pre-copying bucket %d (%d→%d): %w", mv.bucket, mv.fromPart, mv.toPart, err)
 	}
 	c.Events().Add(metrics.EventPreCopyRows, int64(copied))
 
@@ -271,4 +247,66 @@ func (m *Migration) moveBucketPreCopy(c *cluster.Cluster, mv bucketMove) error {
 		}
 	}
 	return nil
+}
+
+// stageRows stages one copied batch at the destination; a variable so tests
+// can fail the destination mid-stream.
+var stageRows = (*storage.Partition).StageRows
+
+// preCopy streams the snapshot slices through both executors' background
+// lanes, pipelined: a stager goroutine stages slice i at the destination
+// while the source copies slice i+1, and the one-deep channel between them
+// keeps at most one copied batch waiting. Each batch aliases the source
+// bucket's append-only arena pages, so handing it across executors copies
+// slice headers, not rows. preCopy returns only after the stager has
+// finished, so on error the caller's DiscardStaged never races a StageRows.
+func (m *Migration) preCopy(src, dst *engine.Executor, bucket int, slices []storage.CopySlice) (copied int, err error) {
+	batches := make(chan *storage.TupleBatch, 1)
+	failed := make(chan struct{}) // closed when a stage fails: stop copying
+	staged := make(chan error, 1)
+	go func() {
+		var err error
+		for batch := range batches {
+			if err != nil {
+				continue // drain, so the copier never blocks on a dead stage
+			}
+			err = dst.DoBackground(func(p *storage.Partition) (int, error) {
+				return batch.Len(), stageRows(p, bucket, batch)
+			})
+			if err != nil {
+				close(failed)
+			}
+		}
+		staged <- err
+	}()
+stream:
+	for _, s := range slices {
+		select {
+		case <-failed:
+			break stream
+		case <-m.cancel:
+			err = errors.New("canceled: run failed elsewhere")
+			break stream
+		default:
+		}
+		var batch *storage.TupleBatch
+		err = src.DoBackground(func(p *storage.Partition) (int, error) {
+			var err error
+			batch, err = p.CopyRows(bucket, s)
+			if batch == nil {
+				return 0, err
+			}
+			return batch.Len(), err
+		})
+		if err != nil {
+			break
+		}
+		batches <- batch
+		copied += batch.Len()
+	}
+	close(batches)
+	if stageErr := <-staged; err == nil {
+		err = stageErr
+	}
+	return copied, err
 }

@@ -114,14 +114,14 @@ func (b *bucketRows) delete(key string) bool {
 	return true
 }
 
-// compactMinDead is the dead-byte floor below which compaction never runs —
-// churning a page-sized bucket for a few stale rows is not worth the copy.
-const compactMinDead = arenaPageSize
-
 // maybeCompact rewrites live tuples into fresh pages when dead bytes
 // dominate, bounding retained memory at ~2× live under any delete-heavy
-// workload. Old pages are dropped, not recycled: a borrowed view may still
-// be reading them, and append-only pages are what makes that safe.
+// workload. Below a floor of one page sized for the live bytes
+// (pageFor(live)) it never runs, so a compaction always frees at least the
+// page it writes: a small bucket rewriting its rows compacts at a few KiB,
+// a big one at arenaPageSize as before. Old pages are dropped, not
+// recycled: a borrowed view may still be reading them, and append-only
+// pages are what makes that safe.
 func (b *bucketRows) maybeCompact() {
 	if len(b.index) == 0 {
 		// Empty bucket: nothing to rewrite, drop the pages outright.
@@ -131,7 +131,7 @@ func (b *bucketRows) maybeCompact() {
 		}
 		return
 	}
-	if b.dead <= b.live || b.dead < compactMinDead {
+	if b.dead <= b.live || b.dead < pageFor(b.live) {
 		return
 	}
 	// The fresh arena starts at a page sized for the live bytes instead of

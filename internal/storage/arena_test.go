@@ -126,6 +126,24 @@ func TestCompactSizesFreshArena(t *testing.T) {
 	}
 }
 
+// TestSmallBucketChurnFootprint is the compaction-floor guard: four 200 B
+// rows rewritten 2000 times must never retain more than 4 KiB. A fixed
+// 64 KiB dead-byte floor let the same bucket climb to ~130 KB.
+func TestSmallBucketChurnFootprint(t *testing.T) {
+	const limit = 4 << 10
+	rows := newBucketRows()
+	s := newSchema()
+	val := string(make([]byte, 200))
+	peak := 0
+	for i := 0; i < 2000*4; i++ {
+		rows.putTuple(appendTuple(nil, s, fmt.Sprintf("k%d", i%4), map[string]string{"v": val}))
+		peak = max(peak, rows.ar.retained)
+	}
+	if peak > limit {
+		t.Errorf("peak retained %d B for %d live bytes, want ≤ %d", peak, rows.live, limit)
+	}
+}
+
 // TestSmallBucketsFootprint is the footprint guard: one small row in each of
 // 256 buckets × 4 tables used to open 1024 full 64 KiB pages (64 MiB); it
 // must now retain at most a sixteenth of that, by the store's own
@@ -230,8 +248,8 @@ func FuzzArena(f *testing.F) {
 			if caps != rows.ar.retained {
 				t.Fatalf("step %d: retained %d, Σ cap(page) %d", i/3, rows.ar.retained, caps)
 			}
-			if rows.dead > rows.live && rows.dead >= compactMinDead {
-				t.Fatalf("step %d: dead %d > live %d past compactMinDead without compaction", i/3, rows.dead, rows.live)
+			if rows.dead > rows.live && rows.dead >= pageFor(rows.live) {
+				t.Fatalf("step %d: dead %d > live %d past the pageFor(live) floor without compaction", i/3, rows.dead, rows.live)
 			}
 			if rows.len() != len(oracle) {
 				t.Fatalf("step %d: %d rows, oracle %d", i/3, rows.len(), len(oracle))

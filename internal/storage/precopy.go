@@ -6,9 +6,10 @@
 //  1. BeginCapture marks the bucket migrating and starts recording every
 //     subsequent Put/Delete against it into an ordered per-bucket delta
 //     log, returning a manifest of bounded CopySlices.
-//  2. CopyRows streams each slice (≤ sliceRows rows per executor visit)
-//     to the destination as a TupleBatch — encoded tuples aliased straight
-//     out of the bucket arena, no per-row cloning — which the destination
+//  2. CopyRows streams each slice (one executor visit, sized by the
+//     engine's migration slice budget) to the destination as a
+//     TupleBatch — encoded tuples aliased straight out of the bucket
+//     arena, no per-row cloning — which the destination
 //     accumulates with StageRows into staged BucketPages, outside its live
 //     tables, invisible to transactions.
 //  3. DrainDelta pops the captured writes in rounds; StageDelta overlays
