@@ -21,6 +21,7 @@ import (
 	"pstore/internal/metrics"
 	"pstore/internal/migration"
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/sim"
 	"pstore/internal/timeseries"
@@ -628,7 +629,7 @@ func BenchmarkAblationScaleInConfirmations(b *testing.B) {
 	moves := map[int]int{}
 	for i := 0; i < b.N; i++ {
 		for _, confirm := range []int{1, 3} {
-			strat := &sim.PStore{Params: p, Predictor: oracle, Horizon: 18, Inflate: 1.0, Confirmations: confirm}
+			strat := &policy.PStore{Params: p, Predictor: oracle, Horizon: 18, Inflate: 1.0, Confirmations: confirm}
 			res, err := sim.Run(view, 288, 2, strat, p, false)
 			if err != nil {
 				b.Fatal(err)

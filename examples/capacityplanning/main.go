@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/sim"
 	"pstore/internal/workload"
@@ -54,14 +55,14 @@ func main() {
 	typicalPeak := params.RequiredMachines(load.Slice(0, trainEnd).Max())
 	n0 := params.RequiredMachines(view.At(trainEnd))
 
-	strategies := []sim.Strategy{
-		&sim.PStore{Params: params, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
-		&sim.PStore{Params: params, Predictor: oracle, Horizon: horizon, Label: "P-Store Oracle"},
-		&sim.Reactive{Params: params},
-		sim.Simple{SlotsPerDay: 288, MorningSlot: 72, NightSlot: 276,
+	strategies := []policy.Policy{
+		&policy.PStore{Params: params, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
+		&policy.PStore{Params: params, Predictor: oracle, Horizon: horizon, Label: "P-Store Oracle"},
+		&policy.Reactive{Params: params},
+		policy.Simple{SlotsPerDay: 288, MorningSlot: 72, NightSlot: 276,
 			DayMachines: typicalPeak, NightMachines: 2},
-		sim.Static{Machines: peak},
-		sim.Static{Machines: (peak + 1) / 2},
+		policy.Static{Machines: peak},
+		policy.Static{Machines: (peak + 1) / 2},
 	}
 
 	fmt.Printf("simulating %d days (%d slots) after training...\n\n", gen.Days-21, view.Len()-trainEnd)

@@ -1,11 +1,11 @@
-// Package controller implements the P-Store Predictive Controller (§6): a
-// monitoring loop that measures the aggregate load each slot, calls the
-// Predictor for a time series of future load, passes it to the Planner
-// (the dynamic program of §4.3), and executes only the first move of the
-// returned plan before re-planning — receding-horizon control. Scale-in
-// moves need three consecutive confirmations; when the Planner reports no
-// feasible plan (an unpredicted spike), the controller falls back to
-// reactive scaling at the regular migration rate R or at R×8 (§4.3.1).
+// Package controller implements the P-Store Predictive Controller (§6) as
+// policy + actuator: each slot it measures the aggregate load, asks a
+// policy.Policy for a decision, starts the migration that decision calls
+// for, and logs it as an Event. The P-Store policy forecasts, plans with the
+// dynamic program of §4.3 and acts on the first move only (receding-horizon
+// control), with scale-in confirmations and a reactive fallback at rate R
+// or R×8 when no plan is feasible (§4.3.1); the reactive baseline of §8.2
+// runs through the same loop.
 package controller
 
 import (
@@ -17,40 +17,47 @@ import (
 	"pstore/internal/cluster"
 	"pstore/internal/migration"
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/timeseries"
 )
 
-// Config tunes the predictive controller.
+// Config tunes the controller. Either Policy is set, or Predictor and the
+// fields documented as P-Store settings are, and New builds a
+// policy.PStore from them.
 type Config struct {
-	// Params supplies Q, Q̂, D and P for the planner.
+	// Policy decides each slot's target. When nil, New builds a
+	// policy.PStore from the P-Store settings below.
+	Policy policy.Policy
+	// Params supplies Q, Q̂, D and P for the planner (P-Store setting).
 	Params plan.Params
-	// Predictor forecasts future load. It must already be fitted, and its
-	// training data must be in the same units as MeasureLoad (load per
-	// slot).
+	// Predictor forecasts future load (P-Store setting). It must already
+	// be fitted, and its training data must be in the same units as
+	// MeasureLoad (load per slot).
 	Predictor predict.Model
-	// History seeds the predictor's observation window; measured slots are
-	// appended to it. Its Step must equal SlotWall ⋅ (trace compression),
-	// i.e. one entry per controller slot.
+	// History seeds the observation window the policy sees; measured slots
+	// are appended to it. Its Step must equal SlotWall ⋅ (trace
+	// compression), i.e. one entry per controller slot.
 	History *timeseries.Series
 	// SlotWall is the wall-clock duration of one slot.
 	SlotWall time.Duration
-	// Horizon is how many slots ahead to plan (τ_max). Must satisfy
-	// Horizon ≥ 2·D/P to leave room for two back-to-back reconfigurations
-	// (§5 "what is a good forecasting window").
+	// Horizon is how many slots ahead to plan (P-Store setting, τ_max).
+	// Must satisfy Horizon ≥ 2·D/P to leave room for two back-to-back
+	// reconfigurations (§5 "what is a good forecasting window").
 	Horizon int
-	// Inflate multiplies predictions for provisioning headroom (the
-	// paper's evaluation inflates by 15% → 1.15). 0 means no inflation.
+	// Inflate multiplies predictions for provisioning headroom (P-Store
+	// setting; the paper inflates by 15% → 1.15). 0 means no inflation.
 	Inflate float64
 	// ScaleInConfirmations is the number of consecutive plans that must
-	// call for a scale-in before it executes (paper: 3).
+	// call for a scale-in before it executes (P-Store setting, paper: 3).
 	ScaleInConfirmations int
-	// MaxNodes caps emergency scale-out (0 = unlimited).
+	// MaxNodes caps the fallback scale-out (P-Store setting, 0 = unlimited).
 	MaxNodes int
 	// Migration configures the regular migration rate R.
 	Migration migration.Options
-	// FastFallback uses rate R×8 for the reactive fallback (§8.2's second
-	// strategy); otherwise the fallback migrates at the regular rate R.
+	// FastFallback uses rate R×8 for the reactive fallback (P-Store
+	// setting, §8.2's second strategy); otherwise the fallback migrates at
+	// the regular rate R.
 	FastFallback bool
 	// MeasureLoad returns the load observed since the last call (one
 	// slot's transaction count). Required.
@@ -63,37 +70,49 @@ type Event struct {
 	Slot     int
 	Load     float64
 	From, To int
-	Kind     string // "scale-out", "scale-in", "fallback", "hold", "infeasible"
+	Kind     string // one of policy.Hold, ScaleOut, ScaleIn, Fallback, Infeasible
 	Note     string
 }
 
-// Controller runs P-Store's monitor → predict → plan → migrate loop.
+// Controller runs the monitor → decide → migrate loop.
 type Controller struct {
 	cfg     Config
 	c       *cluster.Cluster
+	policy  policy.Policy
 	history *timeseries.Series
 
-	mu           sync.Mutex
-	events       []Event
-	scaleInVotes int
-	slot         int
-	inflight     *migration.Migration
-	manualFloor  int
+	mu       sync.Mutex
+	events   []Event
+	slot     int
+	inflight *migration.Migration
 }
 
 // New validates the configuration and returns a controller.
 func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
-	if cfg.Predictor == nil {
-		return nil, fmt.Errorf("controller: Predictor is required")
-	}
 	if cfg.MeasureLoad == nil {
 		return nil, fmt.Errorf("controller: MeasureLoad is required")
 	}
-	if cfg.History == nil || cfg.History.Len() < cfg.Predictor.MinHistory() {
-		return nil, fmt.Errorf("controller: History must seed at least MinHistory=%d slots", cfg.Predictor.MinHistory())
-	}
 	if cfg.SlotWall <= 0 {
 		return nil, fmt.Errorf("controller: SlotWall must be positive")
+	}
+	ctl := &Controller{cfg: cfg, c: c, policy: cfg.Policy}
+	if cfg.History != nil {
+		ctl.history = cfg.History.Clone()
+	} else {
+		ctl.history = timeseries.New(time.Time{}, cfg.SlotWall, nil)
+	}
+	if cfg.Policy != nil {
+		if cfg.Predictor != nil || cfg.Params != (plan.Params{}) || cfg.Horizon != 0 || cfg.Inflate != 0 ||
+			cfg.ScaleInConfirmations != 0 || cfg.MaxNodes != 0 || cfg.FastFallback {
+			return nil, fmt.Errorf("controller: Policy replaces the P-Store settings (Predictor, Params, Horizon, Inflate, ScaleInConfirmations, MaxNodes, FastFallback); set one or the other")
+		}
+		return ctl, nil
+	}
+	if cfg.Predictor == nil {
+		return nil, fmt.Errorf("controller: Policy or Predictor is required")
+	}
+	if ctl.history.Len() < cfg.Predictor.MinHistory() {
+		return nil, fmt.Errorf("controller: History must seed at least MinHistory=%d slots", cfg.Predictor.MinHistory())
 	}
 	if cfg.Horizon < 2 {
 		return nil, fmt.Errorf("controller: Horizon must be ≥ 2, got %d", cfg.Horizon)
@@ -101,35 +120,35 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Inflate == 0 {
-		cfg.Inflate = 1
+	ctl.policy = &policy.PStore{
+		Params:        cfg.Params,
+		Predictor:     cfg.Predictor,
+		Horizon:       cfg.Horizon,
+		Inflate:       cfg.Inflate,
+		Confirmations: cfg.ScaleInConfirmations,
+		MaxNodes:      cfg.MaxNodes,
+		FastFallback:  cfg.FastFallback,
 	}
-	if cfg.ScaleInConfirmations <= 0 {
-		cfg.ScaleInConfirmations = 3
-	}
-	return &Controller{cfg: cfg, c: c, history: cfg.History.Clone()}, nil
+	return ctl, nil
 }
 
-// SetManualFloor sets a minimum machine count the controller will maintain
-// regardless of predictions — the paper's third composite strategy, manual
-// provisioning for rare but expected events (§1: "e.g. special promotions
-// for B2W"). A floor of 0 clears the override. The floor takes effect at
-// the next control cycle; the planner still delays the scale-out as late as
-// feasibility allows for loads above the floor.
+// SetManualFloor sets a minimum machine count the P-Store policy will
+// maintain regardless of predictions (policy.PStore.SetFloor, the paper's
+// manual provisioning for expected events). A floor of 0 clears it; it takes
+// effect at the next control cycle. Other policies have no floor, and the
+// call is a no-op for them.
 func (ctl *Controller) SetManualFloor(machines int) {
-	if machines < 0 {
-		machines = 0
+	if ps, ok := ctl.policy.(*policy.PStore); ok {
+		ps.SetFloor(machines)
 	}
-	ctl.mu.Lock()
-	ctl.manualFloor = machines
-	ctl.mu.Unlock()
 }
 
 // ManualFloor returns the current manual-provisioning floor (0 = none).
 func (ctl *Controller) ManualFloor() int {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	return ctl.manualFloor
+	if ps, ok := ctl.policy.(*policy.PStore); ok {
+		return ps.Floor()
+	}
+	return 0
 }
 
 // Events returns the decisions taken so far.
@@ -137,12 +156,6 @@ func (ctl *Controller) Events() []Event {
 	ctl.mu.Lock()
 	defer ctl.mu.Unlock()
 	return append([]Event(nil), ctl.events...)
-}
-
-func (ctl *Controller) record(ev Event) {
-	ctl.mu.Lock()
-	ctl.events = append(ctl.events, ev)
-	ctl.mu.Unlock()
 }
 
 // Run executes the control loop until ctx is cancelled.
@@ -161,12 +174,14 @@ func (ctl *Controller) Run(ctx context.Context) error {
 	}
 }
 
-// Step performs one monitor→predict→plan→act cycle. Exposed for
-// deterministic tests and simulations; Run calls it once per slot.
-// Monitoring continues during an in-flight migration (the measurement is
-// appended every slot so the predictor's history stays aligned with the
-// timeline), but no new move is planned until the migration completes.
-func (ctl *Controller) Step(ctx context.Context) error {
+// Step performs one monitor→decide→act cycle. Exposed for deterministic
+// tests and simulations; Run calls it once per slot. Monitoring continues
+// during an in-flight migration (the measurement is appended every slot so
+// the history stays aligned with the timeline), but the policy is not asked
+// for a new decision until the migration completes. Step never blocks on a
+// migration — it starts one in the background — so it has no use for the
+// context.
+func (ctl *Controller) Step(context.Context) error {
 	load := ctl.cfg.MeasureLoad()
 	ctl.mu.Lock()
 	ctl.history.Append(load)
@@ -191,112 +206,22 @@ func (ctl *Controller) Step(ctx context.Context) error {
 		}
 	}
 
-	forecast, err := ctl.cfg.Predictor.Forecast(ctl.history, ctl.cfg.Horizon)
-	if err != nil {
-		return fmt.Errorf("controller: forecast: %w", err)
-	}
-	loadVec := make([]float64, ctl.cfg.Horizon+1)
-	loadVec[0] = load
-	for i, v := range forecast {
-		loadVec[i+1] = v * ctl.cfg.Inflate
-	}
-	// Manual provisioning: a floor of F machines is expressed as a load of
-	// at least cap(F) at every future slot, so the planner keeps capacity
-	// there without disturbing its timing logic.
-	ctl.mu.Lock()
-	floor := ctl.manualFloor
-	ctl.mu.Unlock()
-	if floor > 0 {
-		floorLoad := ctl.cfg.Params.Cap(floor)
-		for i := 1; i < len(loadVec); i++ {
-			if loadVec[i] < floorLoad {
-				loadVec[i] = floorLoad
-			}
-		}
-	}
-
 	n := ctl.c.NumNodes()
-	pl, err := plan.BestMoves(loadVec, n, ctl.cfg.Params)
-	if err == plan.ErrInfeasible {
-		return ctl.fallback(ctx, slot, load, loadVec, n)
-	}
+	d, err := ctl.policy.Decide(ctl.history, n)
 	if err != nil {
-		return fmt.Errorf("controller: planning: %w", err)
-	}
-
-	move, acted := pl.FirstAction()
-	if !acted {
-		ctl.mu.Lock()
-		ctl.scaleInVotes = 0
-		ctl.mu.Unlock()
-		ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: n, To: n, Kind: "hold"})
-		return nil
-	}
-	if move.To > move.From {
-		// Scale out when the plan's first move is due to start: the plan
-		// already delays it as much as possible, so act only if the move
-		// starts now (slot 0 boundary) — i.e. its Start is the present.
-		ctl.mu.Lock()
-		ctl.scaleInVotes = 0
-		ctl.mu.Unlock()
-		if move.Start > 0 {
-			ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: n, To: n, Kind: "hold",
-				Note: fmt.Sprintf("scale-out %d→%d scheduled at +%d slots", move.From, move.To, move.Start)})
-			return nil
-		}
-		ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: move.From, To: move.To, Kind: "scale-out"})
-		return ctl.migrate(ctx, move.To, ctl.cfg.Migration)
-	}
-	// Scale-in: require consecutive confirmations (§6).
-	ctl.mu.Lock()
-	ctl.scaleInVotes++
-	votes := ctl.scaleInVotes
-	ctl.mu.Unlock()
-	if votes < ctl.cfg.ScaleInConfirmations || move.Start > 0 {
-		ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: n, To: n, Kind: "hold",
-			Note: fmt.Sprintf("scale-in %d→%d vote %d/%d", move.From, move.To, votes, ctl.cfg.ScaleInConfirmations)})
-		return nil
+		return fmt.Errorf("controller: %w", err)
 	}
 	ctl.mu.Lock()
-	ctl.scaleInVotes = 0
+	ctl.events = append(ctl.events, Event{At: time.Now(), Slot: slot, Load: load, From: n, To: d.Target, Kind: d.Kind, Note: d.Note})
 	ctl.mu.Unlock()
-	ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: move.From, To: move.To, Kind: "scale-in"})
-	return ctl.migrate(ctx, move.To, ctl.cfg.Migration)
-}
-
-// fallback handles an infeasible plan: an unpredicted spike needs more
-// capacity than any feasible schedule provides, so scale straight to the
-// required machine count, optionally at the boosted rate (§4.3.1).
-func (ctl *Controller) fallback(ctx context.Context, slot int, load float64, loadVec []float64, n int) error {
-	maxLoad := 0.0
-	for _, v := range loadVec {
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	target := ctl.cfg.Params.RequiredMachines(maxLoad)
-	if ctl.cfg.MaxNodes > 0 && target > ctl.cfg.MaxNodes {
-		target = ctl.cfg.MaxNodes
-	}
-	if target <= n {
-		// The present is already overloaded but more machines would not
-		// have helped in time; record and carry on.
-		ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: n, To: n, Kind: "infeasible"})
+	if d.Target == n {
 		return nil
 	}
 	opts := ctl.cfg.Migration
-	note := "rate R"
-	if ctl.cfg.FastFallback {
-		opts.RateMultiplier = 8
-		note = "rate R×8"
+	if d.Fast {
+		opts.RateMultiplier = policy.FastRate
 	}
-	ctl.record(Event{At: time.Now(), Slot: slot, Load: load, From: n, To: target, Kind: "fallback", Note: note})
-	return ctl.migrate(ctx, target, opts)
-}
-
-func (ctl *Controller) migrate(ctx context.Context, target int, opts migration.Options) error {
-	_ = ctx
-	m, err := migration.Start(ctl.c, target, opts)
+	m, err := migration.Start(ctl.c, d.Target, opts)
 	if err != nil {
 		return err
 	}
@@ -304,13 +229,6 @@ func (ctl *Controller) migrate(ctx context.Context, target int, opts migration.O
 	ctl.inflight = m
 	ctl.mu.Unlock()
 	return nil
-}
-
-// InFlight reports the current migration, if any.
-func (ctl *Controller) InFlight() *migration.Migration {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	return ctl.inflight
 }
 
 // WaitIdle blocks until no migration is in flight (for experiment

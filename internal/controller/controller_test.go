@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"pstore/internal/engine"
 	"pstore/internal/migration"
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/timeseries"
 )
@@ -346,5 +348,220 @@ func TestControllerManualFloor(t *testing.T) {
 	ctl.SetManualFloor(-5)
 	if ctl.ManualFloor() != 0 {
 		t.Errorf("negative floor should clamp to 0")
+	}
+}
+
+func TestControllerInfeasibleResetsScaleInVotes(t *testing.T) {
+	c := newTestCluster(t)
+	if _, err := migration.Run(c, 2, migration.Options{BucketsPerChunk: 8, ChunkInterval: 0}); err != nil {
+		t.Fatal(err)
+	}
+	// The oracle predicts flat 80, so every plan votes to scale in 2→1.
+	// After two votes an unpredicted 450 arrives; with MaxNodes = 2 the
+	// fallback cannot grow the cluster, so the slot is infeasible. That
+	// slot breaks the run of votes: the scale-in must wait for three fresh
+	// confirmations, not one.
+	full := buildScenario(60, 999, 999)
+	next := 10
+	measure := func() float64 {
+		next++
+		if next == 13 {
+			return 450
+		}
+		return full.At(next - 1)
+	}
+	cfg := testConfig(t, full, 10, measure)
+	cfg.MaxNodes = 2
+	ctl, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		stepUntilIdle(t, ctl)
+		if c.NumNodes() != 2 {
+			t.Fatalf("scaled in at step %d; events = %+v", i+1, ctl.Events())
+		}
+	}
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 1 {
+		t.Fatalf("nodes = %d after three fresh votes, want 1", c.NumNodes())
+	}
+	var kinds []string
+	for _, ev := range ctl.Events() {
+		kinds = append(kinds, ev.Kind)
+	}
+	want := []string{"hold", "hold", "infeasible", "hold", "hold", "scale-in"}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Errorf("event kinds = %v, want %v", kinds, want)
+	}
+}
+
+func TestControllerRefusesPolicyWithPStoreSettings(t *testing.T) {
+	c := newTestCluster(t)
+	full := buildScenario(60, 999, 999)
+	cfg := testConfig(t, full, 10, func() float64 { return 80 })
+	cfg.Policy = &policy.Reactive{Params: cfg.Params}
+	if _, err := New(c, cfg); err == nil {
+		t.Error("Policy together with Predictor should fail")
+	}
+	cfg.Predictor = nil
+	if _, err := New(c, cfg); err == nil {
+		t.Error("Policy together with P-Store settings should fail")
+	}
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{}, func() float64 { return 80 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.SetManualFloor(3)
+	if ctl.ManualFloor() != 0 {
+		t.Error("a reactive policy has no manual floor")
+	}
+}
+
+// reactiveConfig drives the controller with the reactive baseline on the
+// same model as testConfig: Q = 100, Q̂ = 120 per node.
+func reactiveConfig(r *policy.Reactive, measure func() float64) Config {
+	r.Params = plan.Params{Q: 100, QHat: 120, D: 2, PartitionsPerNode: 1}
+	return Config{
+		Policy:      r,
+		SlotWall:    10 * time.Millisecond,
+		Migration:   migration.Options{BucketsPerChunk: 8, ChunkInterval: 100 * time.Microsecond},
+		MeasureLoad: measure,
+	}
+}
+
+func TestReactiveScalesOutOnlyWhenOverloaded(t *testing.T) {
+	c := newTestCluster(t)
+	load := 100.0
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{HighFraction: 0.95, ScaleInStreak: 3}, func() float64 { return load }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Below the high watermark (0.95 · 120 · 1 = 114): no action, even
+	// though the target capacity Q·1=100 is reached — the reactive system
+	// waits for real overload.
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 1 {
+		t.Fatalf("scaled out below the watermark")
+	}
+	// Overload: 300 txn/slot needs 3 machines.
+	load = 300
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 3 {
+		t.Fatalf("nodes = %d, want 3", c.NumNodes())
+	}
+	evs := ctl.Events()
+	if len(evs) != 2 || evs[0].Kind != "hold" || evs[1].Kind != "scale-out" || evs[1].From != 1 || evs[1].To != 3 {
+		t.Errorf("events = %+v", evs)
+	}
+}
+
+func TestReactiveScaleInStreak(t *testing.T) {
+	c := newTestCluster(t)
+	load := 500.0
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{}, func() float64 { return load }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 5 {
+		t.Fatalf("nodes = %d, want 5", c.NumNodes())
+	}
+	// Low load must persist for the streak before scale-in.
+	load = 150
+	for i := 0; i < 2; i++ {
+		stepUntilIdle(t, ctl)
+		if c.NumNodes() != 5 {
+			t.Fatalf("scaled in after %d low observations", i+1)
+		}
+	}
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 2 {
+		t.Fatalf("nodes = %d after streak, want 2", c.NumNodes())
+	}
+}
+
+func TestReactiveStreakResetOnNormalLoad(t *testing.T) {
+	c := newTestCluster(t)
+	if _, err := migration.Run(c, 2, migration.Options{BucketsPerChunk: 8}); err != nil {
+		t.Fatal(err)
+	}
+	loads := []float64{100, 100, 180, 100, 100, 100}
+	i := 0
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{}, func() float64 {
+		v := loads[i%len(loads)]
+		i++
+		return v
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two low readings, then 180 (needs 2 → not low) resets the streak.
+	for s := 0; s < 5; s++ {
+		stepUntilIdle(t, ctl)
+		if c.NumNodes() != 2 {
+			t.Fatalf("scaled in at step %d despite streak reset", s)
+		}
+	}
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 1 {
+		t.Fatalf("nodes = %d after 3 clean lows, want 1", c.NumNodes())
+	}
+}
+
+func TestReactiveMaxNodesCap(t *testing.T) {
+	c := newTestCluster(t)
+	load := 2000.0
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{MaxNodes: 4, ScaleOutStreak: 2}, func() float64 { return load }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first overloaded slot only confirms (streak 2); the second acts,
+	// capped at four nodes; at the cap, overload holds.
+	stepUntilIdle(t, ctl)
+	if c.NumNodes() != 1 {
+		t.Fatalf("scaled out on the first overloaded slot of a streak of 2")
+	}
+	for i := 0; i < 3; i++ {
+		stepUntilIdle(t, ctl)
+		if c.NumNodes() != 4 {
+			t.Fatalf("nodes = %d, want capped 4", c.NumNodes())
+		}
+	}
+}
+
+func TestReactiveRunLoop(t *testing.T) {
+	c := newTestCluster(t)
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{}, func() float64 { return 50 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if err := ctl.Run(ctx); err != context.DeadlineExceeded {
+		t.Errorf("Run err = %v", err)
+	}
+	if len(ctl.Events()) == 0 || ctl.History().Len() != len(ctl.Events()) {
+		t.Errorf("events = %d, history = %d: want one of each per slot", len(ctl.Events()), ctl.History().Len())
+	}
+}
+
+func TestReactiveDefaults(t *testing.T) {
+	// Zero-valued policy: overload above 0.95·Q̂·N = 114, scale out on the
+	// first overloaded slot, scale in after three low slots.
+	c := newTestCluster(t)
+	loads := []float64{113, 115, 50, 50, 50}
+	i := 0
+	ctl, err := New(c, reactiveConfig(&policy.Reactive{}, func() float64 { i++; return loads[i-1] }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []int
+	for range loads {
+		stepUntilIdle(t, ctl)
+		nodes = append(nodes, c.NumNodes())
+	}
+	if want := []int{1, 2, 2, 2, 1}; fmt.Sprint(nodes) != fmt.Sprint(want) {
+		t.Errorf("nodes per slot = %v, want %v", nodes, want)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"pstore/internal/metrics"
 	"pstore/internal/migration"
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
-	"pstore/internal/reactive"
 	"pstore/internal/timeseries"
 	"pstore/internal/workload"
 )
@@ -37,7 +37,7 @@ type ApproachResult struct {
 	AvgMachines float64
 	Requests    int64
 	Dropped     int64
-	// Events records the controller's decisions (P-Store runs only).
+	// Events records the controller's decisions (reactive and P-Store runs).
 	Events []controller.Event
 }
 
@@ -86,7 +86,7 @@ func RunApproach(cfg ApproachesConfig, a Approach) (res *ApproachResult, err err
 	defer cancel()
 	var ctlWG sync.WaitGroup
 
-	// Per-slot load measurement shared by both controllers. The delta is
+	// Per-slot load measurement for the controller. The delta is
 	// normalized by the wall time actually elapsed since the last call, so
 	// a delayed controller tick does not read as a burst of load.
 	var measureMu sync.Mutex
@@ -107,6 +107,9 @@ func RunApproach(cfg ApproachesConfig, a Approach) (res *ApproachResult, err err
 		return delta
 	}
 
+	// Both elastic approaches run through the same controller; only the
+	// policy differs.
+	ctlCfg := controller.Config{SlotWall: sc.SlotWall, Migration: cfg.Migration, MeasureLoad: measure}
 	switch a {
 	case ApproachStaticPeak, ApproachStaticSmall:
 		// No controller.
@@ -115,36 +118,28 @@ func RunApproach(cfg ApproachesConfig, a Approach) (res *ApproachResult, err err
 		// saturation rate (Q̂ is 80% of saturation, so 1.15·Q̂ ≈ 92% of
 		// saturation) — as E-Store does: the reactive system reconfigures
 		// when performance issues are already present (§2).
-		ctl := reactive.New(c, reactive.Config{
+		ctlCfg.Policy = &policy.Reactive{
 			Params:         cfg.Params,
-			Interval:       sc.SlotWall,
 			HighFraction:   1.15,
 			ScaleOutStreak: 2,
 			ScaleInStreak:  3,
 			MaxNodes:       cfg.PeakNodes,
-			Migration:      cfg.Migration,
-			MeasureLoad:    measure,
-		})
-		ctlWG.Add(1)
-		go func() {
-			defer ctlWG.Done()
-			_ = ctl.Run(ctx)
-		}()
+		}
 	case ApproachPStore:
+		ctlCfg.Params = cfg.Params
+		ctlCfg.Predictor = cfg.Predictor
+		ctlCfg.History = cfg.Trace.Slice(0, cfg.ReplayStart)
+		ctlCfg.Horizon = cfg.Horizon
+		ctlCfg.Inflate = cfg.Inflate
+		ctlCfg.ScaleInConfirmations = 3
+		ctlCfg.MaxNodes = cfg.PeakNodes
+		ctlCfg.FastFallback = cfg.FastFallback
+	default:
+		return nil, fmt.Errorf("experiments: unknown approach %q", a)
+	}
+	if a == ApproachReactive || a == ApproachPStore {
 		var ctl *controller.Controller
-		ctl, err = controller.New(c, controller.Config{
-			Params:               cfg.Params,
-			Predictor:            cfg.Predictor,
-			History:              cfg.Trace.Slice(0, cfg.ReplayStart),
-			SlotWall:             sc.SlotWall,
-			Horizon:              cfg.Horizon,
-			Inflate:              cfg.Inflate,
-			ScaleInConfirmations: 3,
-			MaxNodes:             cfg.PeakNodes,
-			Migration:            cfg.Migration,
-			FastFallback:         cfg.FastFallback,
-			MeasureLoad:          measure,
-		})
+		ctl, err = controller.New(c, ctlCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +154,6 @@ func RunApproach(cfg ApproachesConfig, a Approach) (res *ApproachResult, err err
 				res.Events = ctl.Events()
 			}
 		}()
-	default:
-		return nil, fmt.Errorf("experiments: unknown approach %q", a)
 	}
 
 	// Open-loop replay of the trace tail.

@@ -139,6 +139,31 @@ func TestBuildApproachesConfigAndPStoreRun(t *testing.T) {
 	}
 }
 
+func TestRunApproachReactiveThroughController(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine experiment")
+	}
+	sc := testScale()
+	setup := &Setup{Scale: sc, Params: QuickParams(sc)}
+	cfg, err := BuildApproachesConfig(setup, 4, 1, PredictorOracle, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunApproach(*cfg, ApproachReactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The controller logs one event per decided slot, reactive runs too.
+	if len(res.Events) == 0 {
+		t.Fatal("no controller events for the reactive run")
+	}
+	for _, ev := range res.Events {
+		if ev.To > cfg.PeakNodes {
+			t.Errorf("event %+v exceeds MaxNodes %d", ev, cfg.PeakNodes)
+		}
+	}
+}
+
 func TestRunApproachStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine experiment")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/sim"
 	"pstore/internal/timeseries"
@@ -142,16 +143,16 @@ func CapacityCostStudy(cfg SimStudyConfig) (*SimStudyResult, error) {
 		peakMachines := p.RequiredMachines(loadView.Max())
 		// Typical-day machines for the Simple and Static strategies.
 		dayPeak := typicalDayPeak(env.load.Slice(0, env.start), env.slotsPerDay)
-		strategies := []sim.Strategy{
-			&sim.PStore{Params: p, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
-			&sim.PStore{Params: p, Predictor: oracle, Horizon: horizon, Inflate: 1.0, Label: "P-Store Oracle"},
-			&sim.Reactive{Params: p},
-			sim.Simple{
+		strategies := []policy.Policy{
+			&policy.PStore{Params: p, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
+			&policy.PStore{Params: p, Predictor: oracle, Horizon: horizon, Inflate: 1.0, Label: "P-Store Oracle"},
+			&policy.Reactive{Params: p},
+			policy.Simple{
 				SlotsPerDay: env.slotsPerDay, MorningSlot: env.slotsPerDay / 4,
 				NightSlot:   env.slotsPerDay * 23 / 24,
 				DayMachines: p.RequiredMachines(dayPeak), NightMachines: p.RequiredMachines(dayPeak / 6),
 			},
-			sim.Static{Machines: peakMachines},
+			policy.Static{Machines: peakMachines},
 		}
 		for _, strat := range strategies {
 			r, err := sim.Run(loadView, env.start, n0, strat, p, false)
@@ -229,14 +230,14 @@ func TrajectoryStudy(cfg SimStudyConfig, windowStart, windowLen int) (map[string
 	dayPeak := typicalDayPeak(env.load.Slice(0, env.start), env.slotsPerDay)
 	peakMachines := p.RequiredMachines(loadView.Max())
 
-	strategies := []sim.Strategy{
-		&sim.PStore{Params: p, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
-		sim.Simple{
+	strategies := []policy.Policy{
+		&policy.PStore{Params: p, Predictor: spar, Horizon: horizon, Inflate: 1.15, Label: "P-Store SPAR"},
+		policy.Simple{
 			SlotsPerDay: env.slotsPerDay, MorningSlot: env.slotsPerDay / 4,
 			NightSlot:   env.slotsPerDay * 23 / 24,
 			DayMachines: p.RequiredMachines(dayPeak), NightMachines: p.RequiredMachines(dayPeak / 6),
 		},
-		sim.Static{Machines: peakMachines},
+		policy.Static{Machines: peakMachines},
 	}
 	out := make(map[string][]sim.SlotState)
 	for _, strat := range strategies {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pstore/internal/plan"
+	"pstore/internal/policy"
 	"pstore/internal/predict"
 	"pstore/internal/timeseries"
 	"pstore/internal/workload"
@@ -34,7 +35,7 @@ func TestStaticStrategy(t *testing.T) {
 	load := dayTrace(3, 96, 30, 70, 350)
 	p := simParams()
 	// 4 machines cover the 350 peak; cost = 4 per slot.
-	res, err := Run(load, 0, 4, Static{Machines: 4}, p, false)
+	res, err := Run(load, 0, 4, policy.Static{Machines: 4}, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestStaticStrategy(t *testing.T) {
 		t.Errorf("cost = %v, want %v", res.Cost, want)
 	}
 	// 1 machine is always insufficient during the day.
-	res1, err := Run(load, 0, 1, Static{Machines: 1}, p, false)
+	res1, err := Run(load, 0, 1, policy.Static{Machines: 1}, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStaticStrategy(t *testing.T) {
 func TestSimpleStrategyFollowsSchedule(t *testing.T) {
 	load := dayTrace(3, 96, 30, 70, 350)
 	p := simParams()
-	strat := Simple{SlotsPerDay: 96, MorningSlot: 20, NightSlot: 72, DayMachines: 4, NightMachines: 1}
+	strat := policy.Simple{SlotsPerDay: 96, MorningSlot: 20, NightSlot: 72, DayMachines: 4, NightMachines: 1}
 	res, err := Run(load, 0, 1, strat, p, true)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestSimpleStrategyFollowsSchedule(t *testing.T) {
 func TestReactiveStrategyLagsLoad(t *testing.T) {
 	load := dayTrace(3, 96, 30, 70, 350)
 	p := simParams()
-	res, err := Run(load, 0, 1, &Reactive{Params: p}, p, false)
+	res, err := Run(load, 0, 1, &policy.Reactive{Params: p}, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +105,12 @@ func TestPStoreOracleBeatsReactive(t *testing.T) {
 	if err := oracle.Fit(nil); err != nil {
 		t.Fatal(err)
 	}
-	ps := &PStore{Params: p, Predictor: oracle, Horizon: 12, Inflate: 1.0, Label: "P-Store Oracle"}
+	ps := &policy.PStore{Params: p, Predictor: oracle, Horizon: 12, Inflate: 1.0, Label: "P-Store Oracle"}
 	resP, err := Run(load.Slice(0, load.Len()-13), 0, 1, ps, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR, err := Run(load.Slice(0, load.Len()-13), 0, 1, &Reactive{Params: p}, p, false)
+	resR, err := Run(load.Slice(0, load.Len()-13), 0, 1, &policy.Reactive{Params: p}, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestPStoreSPAREndToEnd(t *testing.T) {
 	if err := spar.Fit(load.Slice(0, trainEnd)); err != nil {
 		t.Fatal(err)
 	}
-	ps := &PStore{Params: p, Predictor: spar, Horizon: 36, Inflate: 1.15, Label: "P-Store SPAR"}
+	ps := &policy.PStore{Params: p, Predictor: spar, Horizon: 36, Inflate: 1.15, Label: "P-Store SPAR"}
 	res, err := Run(load.Slice(0, load.Len()-37), trainEnd, 2, ps, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	static := plan.Params.RequiredMachines(p, load.Max())
-	resStatic, err := Run(load.Slice(0, load.Len()-37), trainEnd, static, Static{Machines: static}, p, false)
+	resStatic, err := Run(load.Slice(0, load.Len()-37), trainEnd, static, policy.Static{Machines: static}, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +167,16 @@ func TestPStoreSPAREndToEnd(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	load := dayTrace(1, 96, 30, 70, 350)
 	p := simParams()
-	if _, err := Run(load, -1, 1, Static{Machines: 1}, p, false); err == nil {
+	if _, err := Run(load, -1, 1, policy.Static{Machines: 1}, p, false); err == nil {
 		t.Error("negative start should fail")
 	}
-	if _, err := Run(load, load.Len(), 1, Static{Machines: 1}, p, false); err == nil {
+	if _, err := Run(load, load.Len(), 1, policy.Static{Machines: 1}, p, false); err == nil {
 		t.Error("out-of-range start should fail")
 	}
-	if _, err := Run(load, 0, 0, Static{Machines: 1}, p, false); err == nil {
+	if _, err := Run(load, 0, 0, policy.Static{Machines: 1}, p, false); err == nil {
 		t.Error("n0=0 should fail")
 	}
-	if _, err := Run(load, 0, 1, Static{Machines: 1}, plan.Params{}, false); err == nil {
+	if _, err := Run(load, 0, 1, policy.Static{Machines: 1}, plan.Params{}, false); err == nil {
 		t.Error("bad params should fail")
 	}
 }
@@ -197,7 +198,7 @@ func TestResultAccessors(t *testing.T) {
 func TestKeepStatesTrajectory(t *testing.T) {
 	load := dayTrace(1, 96, 30, 70, 350)
 	p := simParams()
-	res, err := Run(load, 0, 1, &Reactive{Params: p}, p, true)
+	res, err := Run(load, 0, 1, &policy.Reactive{Params: p}, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestPStoreStrategyFallbackOnUnpredictedSpike(t *testing.T) {
 	if err := oracle.Fit(nil); err != nil {
 		t.Fatal(err)
 	}
-	ps := &PStore{Params: p, Predictor: oracle, Horizon: 12, Label: "P-Store"}
+	ps := &policy.PStore{Params: p, Predictor: oracle, Horizon: 12, Label: "P-Store"}
 	res, err := Run(spiked.Slice(0, spiked.Len()-13), 0, 1, ps, p, true)
 	if err != nil {
 		t.Fatal(err)
@@ -262,34 +263,63 @@ func TestPStoreStrategyFallbackOnUnpredictedSpike(t *testing.T) {
 func TestSimpleStrategyNightWraparound(t *testing.T) {
 	// Slots outside [morning, night) use NightMachines, including the
 	// early-morning hours of the next day.
-	s := Simple{SlotsPerDay: 96, MorningSlot: 24, NightSlot: 72, DayMachines: 5, NightMachines: 2}
-	hist := dayTrace(2, 96, 0, 0, 0)
-	if target, act := s.Decide(0, hist.Slice(0, 1), 5); !act || target != 2 {
-		t.Errorf("midnight: target=%d act=%v, want 2", target, act)
+	s := policy.Simple{SlotsPerDay: 96, MorningSlot: 24, NightSlot: 72, DayMachines: 5, NightMachines: 2}
+	res, err := Run(dayTrace(2, 96, 0, 0, 0), 0, 5, s, simParams(), true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if target, act := s.Decide(30, hist.Slice(0, 31), 2); !act || target != 5 {
-		t.Errorf("mid-morning: target=%d act=%v, want 5", target, act)
+	for slot, want := range map[int]int{20: 2, 60: 5, 90: 2, 96 + 20: 2, 96 + 60: 5, 96 + 90: 2} {
+		if st := res.States[slot]; st.Migrating || st.Machines != want {
+			t.Errorf("slot %d: %+v, want %d machines at rest", slot, st, want)
+		}
 	}
-	if _, act := s.Decide(30, hist.Slice(0, 31), 5); act {
-		t.Error("already at day level: no action expected")
-	}
-	if target, act := s.Decide(96+80, hist, 5); !act || target != 2 {
-		t.Errorf("next night: target=%d act=%v, want 2", target, act)
+	// Midnight, morning, night, next morning, next night.
+	if res.Moves != 5 {
+		t.Errorf("moves = %d, want 5", res.Moves)
 	}
 }
 
 func TestReactiveStrategyDefaults(t *testing.T) {
+	// Zero HighFraction and ScaleInStreak. Load 60 on 2 machines: required
+	// 1 < 2, so the low streak builds; the default streak is 3, so the
+	// third slot decides and the move starts at the fourth.
 	p := simParams()
-	r := &Reactive{Params: p} // zero HighFraction and ScaleInStreak
-	hist := dayTrace(1, 96, 0, 0, 0)
-	// Load 60 on 2 machines: required 1 < 2, so low streak builds; the
-	// default streak is 3.
-	for i := 0; i < 2; i++ {
-		if _, act := r.Decide(i, hist.Slice(0, i+1), 2); act {
-			t.Fatalf("scale-in fired after %d lows", i+1)
-		}
+	res, err := Run(dayTrace(1, 96, 0, 0, 0), 0, 2, &policy.Reactive{Params: p}, p, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if target, act := r.Decide(2, hist.Slice(0, 3), 2); !act || target != 1 {
-		t.Errorf("after 3 lows: target=%d act=%v, want 1", target, act)
+	if res.States[2].Migrating || !res.States[3].Migrating {
+		t.Errorf("move started at the wrong slot: %+v", res.States[:4])
+	}
+	if last := res.States[len(res.States)-1]; res.Moves != 1 || last.Machines != 1 {
+		t.Errorf("moves = %d, final = %+v, want one scale-in to 1", res.Moves, last)
+	}
+}
+
+func TestReactiveStrategyScaleOutStreakAndCap(t *testing.T) {
+	// Load jumps from 60 to 450 (5 machines at Q=100) at slot 10. With a
+	// scale-out streak of 2 the move starts one slot later than with the
+	// default streak of 1, and MaxNodes caps the target at 3.
+	load := dayTrace(1, 96, 10, 96, 450)
+	p := simParams()
+	firstMove := func(r *policy.Reactive) (int, int) {
+		res, err := Run(load, 0, 1, r, p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, peak := -1, 0
+		for i, st := range res.States {
+			if st.Migrating && start < 0 {
+				start = i
+			}
+			peak = max(peak, st.Machines)
+		}
+		return start, peak
+	}
+	if start, peak := firstMove(&policy.Reactive{Params: p}); start != 11 || peak != 5 {
+		t.Errorf("streak 1: move starts at %d (want 11), peak %d machines (want 5)", start, peak)
+	}
+	if start, peak := firstMove(&policy.Reactive{Params: p, ScaleOutStreak: 2, MaxNodes: 3}); start != 12 || peak != 3 {
+		t.Errorf("streak 2, cap 3: move starts at %d (want 12), peak %d machines (want 3)", start, peak)
 	}
 }
